@@ -32,6 +32,7 @@ from .ratcover import (
     cert_not_entourage,
     cover_normal_sequence,
     dense_scenario,
+    probe_indices,
     random_interval_sets,
     refined_base,
 )
@@ -195,18 +196,28 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
 
-    certificates: list = [build_cert]
-    normal = cover_normal_sequence(cover, normal_depth, grid_size=grid)
-    certificates.append(normal.certificate)
     probe_sets = []
     if probes_cfg:
         probe_sets = random_interval_sets(probes_cfg["seed"], probes_cfg["count"])
+    for k, probe in enumerate(probe_sets):
+        try:
+            probe_indices(cover, probe)
+        except CoverError as exc:
+            raise InputProblem(
+                f"probe {k} cannot be decided within truncation depth {depth} ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    certificates: list = [build_cert]
+    # One star-cover tower serves both certificates: the shorter one is a prefix.
+    tower = cover_normal_sequence(cover, max(normal_depth, refine_depth), grid_size=grid)
+    normal = tower.prefix(normal_depth)
+    certificates.append(normal.certificate)
     mono = [cert_monotonecover(cover, p) for p in probe_sets]
     certificates.extend(mono)
     refine_failure = None
     base: list = []
     try:
-        refined = refined_base(cover, refine_depth, scales, probe_sets, grid_size=grid)
+        refined = refined_base(tower.prefix(refine_depth), scales, probe_sets)
         certificates.append(refined.certificate)
         base = refined.certificate["base"]
     except CoverError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parallel import map_ordered
 from .quniform import FiniteQuasiUniformity
 from .relcore import GroundSet, Relation, image, iter_bits
 
@@ -249,14 +248,13 @@ def enumerate_preorders(n: int) -> list[Relation]:
 def qh_singular_scan(n: int) -> dict:
     """Exhaustively check that no two distinct preorders are QH-equivalent.
 
-    The hyper_h matrix of each preorder is computed once (optionally across
-    workers) and compared pairwise; the report is deterministic regardless
-    of the partitioning.
+    The hyper_h matrix of each preorder is computed once and compared
+    pairwise through a table keyed by the matrix rows.
     """
     if n > MAX_SCAN:
         raise ValueError(f"singularity scan capped at n = {MAX_SCAN}")
     preorders = enumerate_preorders(n)
-    matrices = map_ordered(lambda r: hyper_h(r).rows, preorders)
+    matrices = [hyper_h(r).rows for r in preorders]
     seen: dict[tuple[int, ...], int] = {}
     collisions: list[dict] = []
     for idx, mat in enumerate(matrices):

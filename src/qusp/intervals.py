@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .serialize import frac_str, parse_frac
 
@@ -157,7 +157,22 @@ class RationalIntervalSet:
         return self & other.complement()
 
     def __le__(self, other: "RationalIntervalSet") -> bool:
-        return (self - other).is_empty
+        """Subset test in one merge pass over both sorted interval lists.
+
+        Relies on normalization: the intervals of ``other`` are sorted and no
+        two of them can merge, so a rational sits in every gap between them
+        and each interval of ``self`` must lie inside a single interval of
+        ``other``.  Stops at the first interval that does not.
+        """
+        theirs = other.intervals
+        j = 0
+        for piece in self.intervals:
+            lower, upper = piece.lower_cut, piece.upper_cut
+            while j < len(theirs) and theirs[j].upper_cut < lower:
+                j += 1
+            if j == len(theirs) or lower < theirs[j].lower_cut or theirs[j].upper_cut < upper:
+                return False
+        return True
 
     def proper_subset_of(self, other: "RationalIntervalSet") -> bool:
         return self <= other and self != other
@@ -194,11 +209,6 @@ class RationalIntervalSet:
         if step <= 0:
             raise ValueError("margin must be positive")
         return iv.hi - step
-
-    def grid_members(self, grid: Iterable[Fraction]) -> Iterator[Fraction]:
-        for q in grid:
-            if q in self:
-                yield q
 
     def to_json(self) -> dict:
         return {"intervals": [iv.to_json() for iv in self.intervals]}

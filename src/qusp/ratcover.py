@@ -25,6 +25,7 @@ the star-cover normality certificates exact rather than sampled.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
@@ -37,7 +38,6 @@ from .intervals import (
     point,
     rational_grid,
 )
-from .parallel import map_ordered
 from .serialize import frac_str
 
 DEFAULT_TRUNCATION_DEPTH = 64
@@ -215,23 +215,28 @@ class OmegaCover:
     def scale(self, n: int, m: int = 0) -> Fraction:
         return self.base_scales[n] / (1 << m)
 
+    def _first_index(self, holds) -> int | None:
+        """Smallest n with ``holds(sets[n])``, or None, by bisection.
+
+        Precondition: ``holds`` is monotone along the cover, false up to some
+        index and true from there on.  Each caller's test is, because the
+        sets are nested, which validation checks.  On a cover built with
+        ``validate=False`` whose sets are not nested the answer is undefined.
+        """
+        n = bisect_left(self.sets, True, key=holds)
+        return n if n < len(self.sets) else None
+
     def min_index_of(self, x: Fraction) -> int | None:
-        for n, s in enumerate(self.sets):
-            if x in s:
-                return n
-        return None
+        """Smallest n with x in ``sets[n]``; bisects, so needs nested sets."""
+        return self._first_index(lambda s: x in s)
 
     def min_index_containing(self, a: RationalIntervalSet) -> int | None:
-        for n, s in enumerate(self.sets):
-            if a <= s:
-                return n
-        return None
+        """Smallest n with a inside ``sets[n]``; bisects, so needs nested sets."""
+        return self._first_index(lambda s: a <= s)
 
     def min_index_intersecting(self, a: RationalIntervalSet) -> int | None:
-        for n, s in enumerate(self.sets):
-            if not (a & s).is_empty:
-                return n
-        return None
+        """Smallest n with ``sets[n]`` meeting a; bisects, so needs nested sets."""
+        return self._first_index(lambda s: not (a & s).is_empty)
 
     def stratum(self, n: int) -> RationalIntervalSet:
         """Points whose smallest containing set is ``sets[n]``."""
@@ -262,6 +267,24 @@ class RefinedBase:
     covers: tuple[OmegaCover, ...]
     background_scales: tuple[Fraction, ...]
     certificate: dict
+
+    def prefix(self, depth: int) -> "RefinedBase":
+        """The bare normal sequence cut after ``depth`` star steps.
+
+        ``star_cover`` is deterministic and each pair certificate depends
+        only on its two covers, so the prefix equals what
+        ``cover_normal_sequence(covers[0], depth, grid_size)`` would build.
+        """
+        if not 0 <= depth < len(self.covers):
+            raise CoverError(f"no normal-sequence prefix of depth {depth} in this tower")
+        pairs = self.certificate["pairs"][:depth]
+        cert = {
+            **self.certificate,
+            "covers": depth + 1,
+            "pairs": pairs,
+            "passed": all(p["passed"] for p in pairs),
+        }
+        return RefinedBase(self.covers[: depth + 1], (), cert)
 
     def base_description(self) -> list[dict]:
         if not self.background_scales:
@@ -384,33 +407,61 @@ def star_cover(c: OmegaCover) -> OmegaCover:
     return OmegaCover(c.oracle, tuple(new_sets), tuple(new_scales))
 
 
+def _meeting_strata(fine: OmegaCover, coarse: OmegaCover) -> list[tuple[int, int]]:
+    """Every pair (k, n) whose fine stratum k meets coarse stratum n, sorted.
+
+    The strata of one cover are pairwise disjoint, so once each cover's
+    stratum intervals are tagged with their stratum index and sorted by
+    lower cut they are sorted by upper cut too.  A two-pointer sweep then
+    advances whichever interval ends first and meets only intervals that
+    overlap: linear in the number of intervals after the sort, where the
+    all-pairs scan intersected every fine stratum with every coarse one.
+    """
+
+    def tagged(c: OmegaCover) -> list[tuple]:
+        return sorted(
+            (piece.lower_cut, piece.upper_cut, n)
+            for n in range(c.truncation_depth + 1)
+            for piece in c.stratum(n).intervals
+        )
+
+    fine_ivs, coarse_ivs = tagged(fine), tagged(coarse)
+    pairs = set()
+    i = j = 0
+    while i < len(fine_ivs) and j < len(coarse_ivs):
+        f_lower, f_upper, k = fine_ivs[i]
+        c_lower, c_upper, n = coarse_ivs[j]
+        if max(f_lower, c_lower) <= min(f_upper, c_upper):
+            pairs.add((k, n))
+        if f_upper < c_upper:
+            i += 1
+        else:
+            j += 1
+    return sorted(pairs)
+
+
 def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_size: int) -> dict:
     """Exact and sampled checks that fine's squared relation sits in coarse's.
 
     On the stratum of points first appearing in fine set k, the squared
     successor is exactly fine.sets[k + 2]; the check compares it against
     coarse.sets[n + 1] wherever the stratum meets the coarse stratum n.
-    Stratum pairs whose indices would run past a truncation depth are
-    counted as skipped, not assumed.
+    Only the meeting pairs are visited (`_meeting_strata`, which relies on
+    each cover's strata being disjoint), in (k, n) order.  Stratum pairs
+    whose indices would run past a truncation depth are counted as skipped,
+    not assumed.  The grid check stays an independent sample: it locates
+    each grid point by bisection and repeats the containment for it.
     """
     exact_checked = 0
     skipped = 0
     failures: list[dict] = []
-    fine_strata = [fine.stratum(k) for k in range(fine.truncation_depth + 1)]
-    coarse_strata = [coarse.stratum(n) for n in range(coarse.truncation_depth + 1)]
-    for k, s_fine in enumerate(fine_strata):
-        if s_fine.is_empty:
+    for k, n in _meeting_strata(fine, coarse):
+        if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
+            skipped += 1
             continue
-        for n, s_coarse in enumerate(coarse_strata):
-            piece = s_fine & s_coarse
-            if piece.is_empty:
-                continue
-            if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
-                skipped += 1
-                continue
-            exact_checked += 1
-            if not fine.sets[k + 2] <= coarse.sets[n + 1]:
-                failures.append({"fine_stratum": k, "coarse_stratum": n})
+        exact_checked += 1
+        if not fine.sets[k + 2] <= coarse.sets[n + 1]:
+            failures.append({"fine_stratum": k, "coarse_stratum": n})
     grid_checked = 0
     grid_violations = 0
     for x in rational_grid(grid_size):
@@ -444,10 +495,7 @@ def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GR
     covers = [c]
     for _ in range(depth):
         covers.append(star_cover(covers[-1]))
-    pair_reports = map_ordered(
-        lambda j: _double_successor_containments(covers[j + 1], covers[j], grid_size),
-        range(depth),
-    )
+    pair_reports = [_double_successor_containments(covers[j + 1], covers[j], grid_size) for j in range(depth)]
     cert = {
         "kind": "normal_sequence",
         "covers": depth + 1,
@@ -470,15 +518,12 @@ def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
     return all(s.inf_cut > GROUND_LOWER for s in c.sets)
 
 
-def cert_monotonecover(c: OmegaCover, a: RationalIntervalSet) -> dict:
-    """Witness that the cover's successor relation is hyperspace-admissible at a.
+def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | None]:
+    """Smallest meeting and smallest containing index of a probe subset.
 
-    Bounded branch: with G1 the smallest set meeting a and G2 the smallest
-    containing it, the scale(G2, 0) entourage maps a into the successor of
-    G2 and maps a point of a meeting G1 into the successor of G1, which
-    sits inside every successor the relation assigns on a.  Cofinal branch:
-    the relation's image of a is the whole ground, witnessed per
-    materialized index.  Both checks are exact.
+    The containing index is None for a probe that escapes every cover set
+    (detected by `_cofinal_in_cover`).  Raises `CoverError` when deciding
+    the probe would need a cover set beyond the truncation depth.
     """
     if a.is_empty:
         raise ValueError("probe subset must be nonempty")
@@ -493,7 +538,21 @@ def cert_monotonecover(c: OmegaCover, a: RationalIntervalSet) -> dict:
         raise CoverError("subset exceeds truncation depth without being cofinal-detectable")
     if n1 + 1 > depth:
         raise CoverError("smallest meeting index has no materialized successor")
+    return n1, n2
 
+
+def cert_monotonecover(c: OmegaCover, a: RationalIntervalSet) -> dict:
+    """Witness that the cover's successor relation is hyperspace-admissible at a.
+
+    Bounded branch: with G1 the smallest set meeting a and G2 the smallest
+    containing it, the scale(G2, 0) entourage maps a into the successor of
+    G2 and maps a point of a meeting G1 into the successor of G1, which
+    sits inside every successor the relation assigns on a.  Cofinal branch:
+    the relation's image of a is the whole ground, witnessed per
+    materialized index.  Both checks are exact.
+    """
+    n1, n2 = probe_indices(c, a)
+    depth = c.truncation_depth
     meet = a & c.sets[n1]
     y = meet.pick_point()
     y_ok = c.oracle.image(c.scale(n1 if n2 is None else n2, 0), point(y)) <= c.sets[n1 + 1]
@@ -744,22 +803,22 @@ def cert_not_entourage(c: OmegaCover, probe_scales: list[Fraction]) -> dict:
 
 
 def refined_base(
-    c: OmegaCover,
-    depth: int,
+    seq: RefinedBase,
     background_scales: list[Fraction],
     probes: list[RationalIntervalSet],
-    grid_size: int = DEFAULT_GRID,
 ) -> RefinedBase:
     """Refined quasi-uniformity base with its full certificate bundle.
 
-    The base intersects each iterated star cover's successor relation with
-    each background metric scale.  Construction aborts on the first failing
-    certificate, quoting its witness.
+    ``seq`` is the star-cover tower from `cover_normal_sequence` (or a
+    `RefinedBase.prefix` of a deeper one), so a tower that was already built
+    and certified is not built again.  The base intersects each of its
+    covers' successor relations with each background metric scale.
+    Construction aborts on the first failing certificate, quoting its
+    witness.
     """
     scales = [Fraction(s) for s in background_scales]
     if not scales:
         raise ValueError("need at least one background scale")
-    seq = cover_normal_sequence(c, depth, grid_size)
     if not seq.certificate["passed"]:
         raise CoverError(f"normal sequence certificate failed: {seq.certificate}")
     bounded = []

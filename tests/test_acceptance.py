@@ -190,7 +190,7 @@ def test_criterion_5_flagship_witness():
     ok = ok and witness_ok
 
     base_probes = random_interval_sets(515, 50)
-    refined = refined_base(cover, 2, [F(1, 4), F(1, 16)], base_probes, grid_size=1 << 10)
+    refined = refined_base(seq.prefix(2), [F(1, 4), F(1, 16)], base_probes)
     membership_ok = refined.certificate["passed"] and all(
         m["passed"] for m in refined.certificate["membership"]
     )

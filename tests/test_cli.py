@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -114,16 +113,6 @@ class TestDeterminism:
         _, _, first = run_scenario(scenario)
         _, _, second = run_scenario(scenario)
         assert canonical_report_bytes(first) == canonical_report_bytes(second)
-
-    def test_worker_partitioning_does_not_change_reports(self):
-        scenario = {"scenario": "singular_scan", "n": 3}
-        _, _, serial = run_scenario(scenario)
-        os.environ["QUSP_THREADS"] = "4"
-        try:
-            _, _, threaded = run_scenario(scenario)
-        finally:
-            del os.environ["QUSP_THREADS"]
-        assert canonical_report_bytes(serial) == canonical_report_bytes(threaded)
 
 
 class TestExportTopology:
@@ -253,6 +242,12 @@ class TestMainEntry:
         assert main(["witness", "--eps", "1/2", "--depth", "12"]) == EXIT_PASS
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["all_pass"]
+
+    def test_witness_probe_past_truncation_names_probe_and_depth(self, capsys):
+        argv = ["witness", "--eps", "1/2", "--depth", "16", "--probe-count", "50", "--probe-seed", "1"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "probe 5 " in err and "truncation depth 16" in err
 
     def test_witness_requires_probe_seed(self, capsys):
         code = main(["witness", "--eps", "1/2", "--depth", "12", "--probe-count", "3"])

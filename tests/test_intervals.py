@@ -133,6 +133,17 @@ class TestSetAlgebraAgainstMembership:
         else:
             assert not (a - b).is_empty
 
+    @given(raw_interval_lists(), raw_interval_lists(), raw_interval_lists())
+    @settings(max_examples=200)
+    def test_subset_sweep_matches_difference(self, raw_a, raw_b, raw_c):
+        # The merge-pass <= against the set difference it replaced.  Besides a
+        # free draw, test subsets of b and subsets of b with pieces added,
+        # so the containing branch and near misses at shared endpoints occur.
+        a, b, c = build(raw_a), build(raw_b), build(raw_c)
+        for sub in (a, a & b, (a & b) | c, b - c, b):
+            assert (sub <= b) == (sub - b).is_empty
+            assert (b <= sub) == (b - sub).is_empty
+
     @given(raw_interval_lists())
     @settings(max_examples=60)
     def test_normalization_is_canonical(self, raw):

@@ -1,10 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qusp.intervals import EMPTY, GROUND, Interval, RationalIntervalSet, iv, point
+from qusp.intervals import EMPTY, GROUND, Interval, RationalIntervalSet, iv, point, rational_grid
 from qusp.ratcover import (
     EUCLID,
     LOWER,
@@ -29,6 +29,7 @@ from qusp.ratcover import (
     star_cover,
     uniformly_isolated_witness,
 )
+from qusp.ratcover import _double_successor_containments, _meeting_strata
 from qusp.serialize import parse_frac
 
 PROBE_POINTS = [F(i, 101) for i in range(1, 101)]
@@ -252,6 +253,17 @@ class TestNormalSequence:
         assert len(rb.covers) == 1 and rb.covers[0] is cover
         assert rb.certificate["passed"] and rb.certificate["pairs"] == []
 
+    def test_prefix_equals_shorter_build(self):
+        cover = flagship(depth=12)
+        tower = cover_normal_sequence(cover, 3, grid_size=64)
+        for depth in range(4):
+            short = cover_normal_sequence(cover, depth, grid_size=64)
+            cut = tower.prefix(depth)
+            assert cut.covers == short.covers
+            assert cut.certificate == short.certificate
+        with pytest.raises(CoverError, match="prefix"):
+            tower.prefix(4)
+
     def test_depth_three_certifies(self):
         cover = flagship(depth=16)
         rb = cover_normal_sequence(cover, 3, grid_size=256)
@@ -261,6 +273,157 @@ class TestNormalSequence:
             assert pair["exact_failures"] == []
             assert pair["grid_violations"] == 0
             assert pair["exact_stratum_checks"] > 0
+
+
+# Reference implementations the fast paths replaced; kept only here.
+
+
+def all_pairs_meeting(fine, coarse):
+    """Every fine stratum intersected with every coarse stratum."""
+    fine_strata = [fine.stratum(k) for k in range(fine.truncation_depth + 1)]
+    coarse_strata = [coarse.stratum(n) for n in range(coarse.truncation_depth + 1)]
+    return [
+        (k, n)
+        for k, a in enumerate(fine_strata)
+        if not a.is_empty
+        for n, b in enumerate(coarse_strata)
+        if not (a & b).is_empty
+    ]
+
+
+def linear_first(cover, holds):
+    return next((n for n, s in enumerate(cover.sets) if holds(s)), None)
+
+
+def reference_containments(fine, coarse, grid_size):
+    """The all-pairs certificate, with linear scans for the grid points."""
+    checked, skipped, failures = 0, 0, []
+    for k, n in all_pairs_meeting(fine, coarse):
+        if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
+            skipped += 1
+            continue
+        checked += 1
+        if not fine.sets[k + 2] <= coarse.sets[n + 1]:
+            failures.append({"fine_stratum": k, "coarse_stratum": n})
+    grid_checked = grid_violations = 0
+    for x in rational_grid(grid_size):
+        k = linear_first(fine, lambda s: x in s)
+        n = linear_first(coarse, lambda s: x in s)
+        if k is None or n is None or k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
+            continue
+        grid_checked += 1
+        grid_violations += not fine.sets[k + 2] <= coarse.sets[n + 1]
+    return {
+        "exact_stratum_checks": checked,
+        "exact_failures": failures,
+        "boundary_skipped": skipped,
+        "grid_points": grid_checked,
+        "grid_violations": grid_violations,
+        "passed": not failures and grid_violations == 0,
+    }
+
+
+DEN = 96
+
+
+@st.composite
+def multi_interval_sets(draw, lo=1, hi=DEN - 1, max_pieces=3):
+    """Unions of up to ``max_pieces`` intervals with endpoints in [lo/96, hi/96]."""
+    pieces = []
+    for _ in range(draw(st.integers(1, max_pieces))):
+        a = draw(st.integers(lo, hi - 1))
+        b = draw(st.integers(a + 1, hi))
+        pieces.append(Interval(F(a, DEN), F(b, DEN), draw(st.booleans()), draw(st.booleans())))
+    return RationalIntervalSet(tuple(pieces))
+
+
+@st.composite
+def nested_covers(draw, oracles=(EUCLID, UPPER, LOWER)):
+    """Validated covers whose sets and strata are unions of several intervals.
+
+    Each set is the previous set's image at its ladder scale, united with a
+    seeded extra piece set, so the chain witnesses hold by construction.
+    Endpoints sit on a grid of 1/96 and scales are 1/48 or 1/96, so images
+    often end exactly where an extra piece begins, open or closed.
+    """
+    oracle = draw(st.sampled_from(oracles))
+    depth = draw(st.integers(2, 6))
+    scales = sorted((F(1, draw(st.sampled_from((48, 96)))) for _ in range(depth + 1)), reverse=True)
+    sets = [draw(multi_interval_sets(DEN // 4, 3 * DEN // 4))]
+    for n in range(depth):
+        extra = draw(st.one_of(st.just(EMPTY), multi_interval_sets(DEN // 8, 7 * DEN // 8, 2)))
+        sets.append(oracle.image(scales[n], sets[n]) | extra)
+    return OmegaCover(oracle, tuple(sets), tuple(scales))
+
+
+def star_or_skip(cover):
+    try:
+        return star_cover(cover)
+    except CoverError:
+        assume(False)
+
+
+class TestStratumSweep:
+    """The sweep over meeting stratum pairs against the all-pairs scan."""
+
+    @pytest.mark.parametrize("eps", [F(1, 2), F(3, 7)])
+    def test_dense_witness_star_pairs(self, eps):
+        cover, _ = dense_scenario(eps, depth=12)
+        star = star_cover(cover)
+        for fine, coarse in ((star, cover), (star_cover(star), star), (cover, star)):
+            assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+            assert _double_successor_containments(fine, coarse, 64) == reference_containments(fine, coarse, 64)
+
+    @given(nested_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_multi_interval_star_pairs(self, cover):
+        star = star_or_skip(cover)
+        for fine, coarse in ((star, cover), (cover, star)):
+            assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+            assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
+
+    @given(nested_covers(), nested_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_unrelated_covers(self, fine, coarse):
+        # Unrelated covers usually fail the containments, which also checks
+        # that failures come out in (k, n) order.
+        assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+        assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
+
+    @given(nested_covers(oracles=(UPPER, LOWER)))
+    @settings(max_examples=30, deadline=None)
+    def test_normal_sequence_through_star_covers(self, cover):
+        try:
+            seq = cover_normal_sequence(cover, 2, grid_size=32)
+        except CoverError:
+            assume(False)
+        for j, pair in enumerate(seq.certificate["pairs"]):
+            fine, coarse = seq.covers[j + 1], seq.covers[j]
+            assert {k: pair[k] for k in pair if k not in ("finer", "coarser")} == reference_containments(fine, coarse, 32)
+
+
+class TestMinIndexBisection:
+    """Bisected smallest-index searches against linear scans."""
+
+    @given(nested_covers(), multi_interval_sets(), st.integers(1, 4 * DEN - 1), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_linear_scan(self, cover, probe, num, starred):
+        if starred:
+            cover = star_or_skip(cover)
+        x = F(num, 4 * DEN)
+        assert cover.min_index_of(x) == linear_first(cover, lambda s: x in s)
+        assert cover.min_index_containing(probe) == linear_first(cover, lambda s: probe <= s)
+        assert cover.min_index_intersecting(probe) == linear_first(cover, lambda s: not (probe & s).is_empty)
+
+    def test_dense_witness_endpoints(self):
+        cover = flagship(depth=16)
+        for n in range(17):
+            edge = F(1, 2 * (n + 1))
+            for x in (edge, edge + F(1, 10**6), edge - F(1, 10**6)):
+                assert cover.min_index_of(x) == linear_first(cover, lambda s: x in s)
+            probe = iv(edge, F(3, 4), lo_open=False)
+            assert cover.min_index_containing(probe) == linear_first(cover, lambda s: probe <= s)
+            assert cover.min_index_intersecting(probe) == linear_first(cover, lambda s: not (probe & s).is_empty)
 
 
 class TestMonotoneCoverCert:
@@ -399,7 +562,7 @@ class TestRefinedBase:
     def test_flagship_bundle(self):
         cover = flagship()
         probes = random_interval_sets(77, 10)
-        rb = refined_base(cover, 2, [F(1, 4), F(1, 16)], probes, grid_size=128)
+        rb = refined_base(cover_normal_sequence(cover, 2, grid_size=128), [F(1, 4), F(1, 16)], probes)
         assert rb.certificate["passed"]
         assert len(rb.certificate["base"]) == 6
         assert rb.base_description() == rb.certificate["base"]
@@ -407,14 +570,14 @@ class TestRefinedBase:
 
     def test_trivial_scale_one(self):
         cover = flagship(depth=16)
-        rb = refined_base(cover, 0, [F(1)], [], grid_size=64)
+        rb = refined_base(cover_normal_sequence(cover, 0, grid_size=64), [F(1)], [])
         assert rb.certificate["base"] == [{"cover": 0, "scale": "1/1"}]
 
     def test_aborts_on_failing_probe(self):
         cover = flagship(depth=16)
         bad_probe = point(F(1, 1000)) | iv(F(1, 3), 1)
         with pytest.raises(CoverError, match="membership certificate failed"):
-            refined_base(cover, 0, [F(1, 64)], [bad_probe], grid_size=64)
+            refined_base(cover_normal_sequence(cover, 0, grid_size=64), [F(1, 64)], [bad_probe])
 
 
 class TestDenseScenario:
