@@ -2,8 +2,10 @@
 
 Exit code contract: 0 when every check passes, 1 when the mathematics
 produced a counterexample or a failing certificate (the witness is in the
-report), 2 for input problems (unreadable file, schema violation, malformed
-rationals, sizes out of range).
+report), 2 for input problems (unreadable scenario file, unwritable report
+path, schema violation, malformed rationals, nonpositive scales, sizes out
+of range), 3 for an internal error: any other exception, reported with its
+traceback on stderr and no report.
 
 Reports are canonical-ordered JSON.  The ``timing_s`` field is the one
 intentionally nondeterministic entry; `canonical_report_bytes` drops it, and
@@ -23,7 +25,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .hyper import qh_equivalent, qh_singular_scan
+from .hyper import MAX_HYPER_GROUND, qh_equivalent, qh_singular_scan
 from .metrize import check_sandwich, every_second_level, kelley_metric, random_normal_sequence
 from .quniform import FiniteQuasiUniformity
 from .ratcover import (
@@ -42,6 +44,7 @@ from .serialize import canonical_json_bytes, digest, frac_str, parse_frac
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 MAX_DOT_GROUND = 8
 
@@ -128,9 +131,12 @@ def _load_quniform(data: dict) -> FiniteQuasiUniformity:
 def _parse_scales(scenario: dict, key: str, default: list[str]) -> list[Fraction]:
     raw = scenario.get(key, default)
     try:
-        return [parse_frac(s) for s in raw]
+        scales = [parse_frac(s) for s in raw]
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
+    if any(s <= 0 for s in scales):
+        raise InputProblem(f"{key}: every scale must be positive")
+    return scales
 
 
 def _run_finite_compare(scenario: dict) -> tuple[int, dict, list]:
@@ -138,6 +144,8 @@ def _run_finite_compare(scenario: dict) -> tuple[int, dict, list]:
     q2 = _load_quniform(scenario["q2"])
     if q1.ground != q2.ground:
         raise InputProblem("q1 and q2 must share one ground set")
+    if q1.ground.size > MAX_HYPER_GROUND:
+        raise InputProblem(f"finite_compare capped at ground size {MAX_HYPER_GROUND}")
     verdict = qh_equivalent(q1, q2)
     counter = None
     if verdict.counterexample is not None:
@@ -182,7 +190,10 @@ _DYADIC_DEFAULT = [f"1/{1 << k}" for k in range(9)]
 
 
 def _run_dense(scenario: dict) -> tuple[int, dict, list]:
-    eps = parse_frac(scenario["eps"])
+    try:
+        eps = parse_frac(scenario["eps"])
+    except ValueError as exc:
+        raise InputProblem(str(exc)) from exc
     depth = scenario.get("depth", 64)
     normal_depth = scenario.get("normal_depth", 3)
     refine_depth = scenario.get("refine_depth", 2)
@@ -368,23 +379,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(out: str | None, text: str) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputProblem(f"cannot write report: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code, text = args.fn(args)
-    except InputProblem as exc:
+        _write_report(getattr(args, "out", None), text)
+    except (InputProblem, jsonschema.ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (jsonschema.ValidationError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception:
+        import traceback  # imported here: it adds about 6 ms to every start-up
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     return code
 
 

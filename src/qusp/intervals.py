@@ -120,9 +120,6 @@ class RationalIntervalSet:
     def sup_cut(self) -> Cut | None:
         return self.intervals[-1].upper_cut if self.intervals else None
 
-    def measure(self) -> Fraction:
-        return sum((iv.hi - iv.lo for iv in self.intervals), Fraction(0))
-
     def __contains__(self, q: Fraction) -> bool:
         cut = (Fraction(q), 0)
         return any(iv.lower_cut <= cut <= iv.upper_cut for iv in self.intervals)
@@ -130,18 +127,48 @@ class RationalIntervalSet:
     def __or__(self, other: "RationalIntervalSet") -> "RationalIntervalSet":
         return RationalIntervalSet(self.intervals + other.intervals)
 
+    @classmethod
+    def _trusted(cls, intervals: tuple[Interval, ...]) -> "RationalIntervalSet":
+        """Wrap intervals that are already normalized, skipping `_normalize`.
+
+        For the set operations below, whose output is normalized by
+        construction; every other way of building a set normalizes.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "intervals", intervals)
+        return out
+
     def __and__(self, other: "RationalIntervalSet") -> "RationalIntervalSet":
+        """Intersection in one two-pointer merge over both sorted interval lists.
+
+        Relies on normalized inputs: each list is sorted and disjoint, so the
+        overlap of the current pair is the next output piece and whichever
+        piece ends first cannot meet anything later in the other list.  A
+        rational sits in every gap between two pieces of one input, hence
+        between any two output pieces, so the output is already normalized.
+        """
+        mine, theirs = self.intervals, other.intervals
         pieces = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lower = max(a.lower_cut, b.lower_cut)
-                upper = min(a.upper_cut, b.upper_cut)
-                if lower <= upper:
-                    pieces.append(_cut_interval(lower, upper))
-        return RationalIntervalSet(tuple(pieces))
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            a_upper, b_upper = mine[i].upper_cut, theirs[j].upper_cut
+            lower = max(mine[i].lower_cut, theirs[j].lower_cut)
+            upper = min(a_upper, b_upper)
+            if lower <= upper:
+                pieces.append(_cut_interval(lower, upper))
+            if a_upper < b_upper:
+                i += 1
+            else:
+                j += 1
+        return RationalIntervalSet._trusted(tuple(pieces))
 
     def complement(self) -> "RationalIntervalSet":
-        """Complement within the ground (0, 1)."""
+        """Complement within the ground (0, 1).
+
+        Relies on a normalized input: its pieces are sorted and nonempty, so
+        the gaps come out sorted and each pair of them is split by a piece
+        that holds a rational, which leaves the output normalized.
+        """
         pieces = []
         cursor = GROUND_LOWER
         for iv in self.intervals:
@@ -151,7 +178,7 @@ class RationalIntervalSet:
             cursor = _flip_up(iv.upper_cut)
         if cursor <= GROUND_UPPER:
             pieces.append(_cut_interval(cursor, GROUND_UPPER))
-        return RationalIntervalSet(tuple(pieces))
+        return RationalIntervalSet._trusted(tuple(pieces))
 
     def __sub__(self, other: "RationalIntervalSet") -> "RationalIntervalSet":
         return self & other.complement()

@@ -28,10 +28,12 @@ import random
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .intervals import (
     GROUND,
     GROUND_LOWER,
+    Cut,
     Interval,
     RationalIntervalSet,
     iv,
@@ -161,11 +163,6 @@ def oracle_by_kind(kind: str) -> MetricOracle:
         raise ValueError(f"unknown oracle kind {kind!r}") from None
 
 
-def iv_image(oracle: MetricOracle, eps: Fraction, a: RationalIntervalSet) -> RationalIntervalSet:
-    """Module-level alias for the oracle's exact entourage image."""
-    return oracle.image(eps, a)
-
-
 @dataclass(frozen=True)
 class OmegaCover:
     """Materialized front of an omega-indexed proximally well-monotone cover.
@@ -174,6 +171,9 @@ class OmegaCover:
     never equal to the ground; ``base_scales[n]`` is the scale whose
     entourage maps ``sets[n]`` into ``sets[n + 1]`` (verified exactly at
     construction), nonincreasing in n.  scale(n, m) halves in m.
+
+    The strata and the stratum index are computed on first use and kept
+    for the life of the cover; the sets never change after construction.
     """
 
     oracle: MetricOracle
@@ -238,11 +238,43 @@ class OmegaCover:
         """Smallest n with ``sets[n]`` meeting a; bisects, so needs nested sets."""
         return self._first_index(lambda s: not (a & s).is_empty)
 
+    @cached_property
+    def strata(self) -> tuple[RationalIntervalSet, ...]:
+        """``strata[n]`` holds the points whose smallest containing set is ``sets[n]``."""
+        rest = (self.sets[n] - self.sets[n - 1] for n in range(1, len(self.sets)))
+        return (self.sets[0], *rest)
+
     def stratum(self, n: int) -> RationalIntervalSet:
         """Points whose smallest containing set is ``sets[n]``."""
-        if n == 0:
-            return self.sets[0]
-        return self.sets[n] - self.sets[n - 1]
+        return self.strata[n]
+
+    @cached_property
+    def stratum_index(self) -> tuple[tuple[Cut, Cut, int], ...]:
+        """Every stratum interval as (lower cut, upper cut, n), sorted.
+
+        With nested sets the strata are pairwise disjoint, so this list,
+        sorted by lower cut, is sorted by upper cut too.
+        """
+        return tuple(
+            sorted((piece.lower_cut, piece.upper_cut, n) for n, s in enumerate(self.strata) for piece in s.intervals)
+        )
+
+    def min_indices_of_sorted(self, points: tuple[Fraction, ...]) -> list[int | None]:
+        """``min_index_of`` for each point of an ascending sequence, in one sweep.
+
+        A point lies in stratum n exactly when ``sets[n]`` is the first set
+        containing it, so one forward pointer over the sorted, disjoint
+        stratum intervals locates every point.  Needs nested sets.
+        """
+        index = self.stratum_index
+        out: list[int | None] = []
+        p = 0
+        for x in points:
+            cut = (x, 0)
+            while p < len(index) and index[p][1] < cut:
+                p += 1
+            out.append(index[p][2] if p < len(index) and index[p][0] <= cut else None)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -285,15 +317,6 @@ class RefinedBase:
             "passed": all(p["passed"] for p in pairs),
         }
         return RefinedBase(self.covers[: depth + 1], (), cert)
-
-    def base_description(self) -> list[dict]:
-        if not self.background_scales:
-            return [{"cover": j} for j in range(len(self.covers))]
-        return [
-            {"cover": j, "scale": frac_str(s)}
-            for j in range(len(self.covers))
-            for s in self.background_scales
-        ]
 
 
 def chain_cover_from_sequence(oracle, sets_fn, witness_scales_fn, depth: int = DEFAULT_TRUNCATION_DEPTH) -> OmegaCover:
@@ -410,22 +433,14 @@ def star_cover(c: OmegaCover) -> OmegaCover:
 def _meeting_strata(fine: OmegaCover, coarse: OmegaCover) -> list[tuple[int, int]]:
     """Every pair (k, n) whose fine stratum k meets coarse stratum n, sorted.
 
-    The strata of one cover are pairwise disjoint, so once each cover's
-    stratum intervals are tagged with their stratum index and sorted by
-    lower cut they are sorted by upper cut too.  A two-pointer sweep then
-    advances whichever interval ends first and meets only intervals that
-    overlap: linear in the number of intervals after the sort, where the
-    all-pairs scan intersected every fine stratum with every coarse one.
+    Relies on the strata of one cover being pairwise disjoint (nested sets),
+    so each cover's `OmegaCover.stratum_index` is sorted by upper cut as well
+    as by lower cut.  A two-pointer sweep then advances whichever interval
+    ends first and meets only intervals that overlap: linear in the number
+    of stratum intervals, where the all-pairs scan intersected every fine
+    stratum with every coarse one.
     """
-
-    def tagged(c: OmegaCover) -> list[tuple]:
-        return sorted(
-            (piece.lower_cut, piece.upper_cut, n)
-            for n in range(c.truncation_depth + 1)
-            for piece in c.stratum(n).intervals
-        )
-
-    fine_ivs, coarse_ivs = tagged(fine), tagged(coarse)
+    fine_ivs, coarse_ivs = fine.stratum_index, coarse.stratum_index
     pairs = set()
     i = j = 0
     while i < len(fine_ivs) and j < len(coarse_ivs):
@@ -446,11 +461,13 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
     On the stratum of points first appearing in fine set k, the squared
     successor is exactly fine.sets[k + 2]; the check compares it against
     coarse.sets[n + 1] wherever the stratum meets the coarse stratum n.
-    Only the meeting pairs are visited (`_meeting_strata`, which relies on
-    each cover's strata being disjoint), in (k, n) order.  Stratum pairs
-    whose indices would run past a truncation depth are counted as skipped,
-    not assumed.  The grid check stays an independent sample: it locates
-    each grid point by bisection and repeats the containment for it.
+    Only the meeting pairs are visited (`_meeting_strata`), in (k, n) order.
+    Stratum pairs whose indices would run past a truncation depth are
+    counted as skipped, not assumed.  The grid check stays an independent
+    sample: it locates each grid point in each cover's stratum index
+    (`OmegaCover.min_indices_of_sorted`, one sweep over the ascending grid)
+    and repeats the containment for it.  Both parts rely on each cover's
+    strata being disjoint, which holds for the nested sets validation checks.
     """
     exact_checked = 0
     skipped = 0
@@ -464,9 +481,8 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
             failures.append({"fine_stratum": k, "coarse_stratum": n})
     grid_checked = 0
     grid_violations = 0
-    for x in rational_grid(grid_size):
-        k = fine.min_index_of(x)
-        n = coarse.min_index_of(x)
+    grid = rational_grid(grid_size)
+    for k, n in zip(fine.min_indices_of_sorted(grid), coarse.min_indices_of_sorted(grid)):
         if k is None or n is None or k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
             continue
         grid_checked += 1
@@ -892,25 +908,6 @@ def dense_scenario(
         "passed": conn["passed"] and all(b["passed"] for b in bounded),
     }
     return cover, cert
-
-
-def pwm_via_metrics_check(c: OmegaCover) -> bool:
-    """Check the metric family description of the cover, exactly.
-
-    Rescaling the oracle by the index-n ladder scale yields one
-    quasi-pseudometric per cover set; the family must grow along the cover
-    (scales nonincreasing) and the unit ball of each around its set must
-    land in the successor (the exact chain containment).
-    """
-    scales_ok = all(
-        c.base_scales[n + 1] <= c.base_scales[n] for n in range(len(c.base_scales) - 1)
-    )
-    if not scales_ok:
-        return False
-    for n in range(c.truncation_depth):
-        if not c.oracle.image(c.scale(n, 0), c.sets[n]) <= c.sets[n + 1]:
-            return False
-    return True
 
 
 def random_interval_sets(seed: int, count: int, denominator: int = 64) -> list[RationalIntervalSet]:

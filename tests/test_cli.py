@@ -1,10 +1,13 @@
 import json
 
+import jsonschema
 import pytest
 
+import qusp.cli
 from qusp.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_PASS,
     canonical_report_bytes,
     export_topology,
@@ -12,6 +15,7 @@ from qusp.cli import (
     run_scenario,
 )
 from qusp.quniform import FiniteQuasiUniformity
+from qusp.ratcover import CoverError
 from qusp.relcore import Relation, ground
 
 G2 = ground("a", "b")
@@ -253,3 +257,47 @@ class TestMainEntry:
         code = main(["witness", "--eps", "1/2", "--depth", "12", "--probe-count", "3"])
         assert code == EXIT_INPUT
         assert "probe-seed" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (ValueError("defect"), EXIT_INTERNAL),
+            (CoverError("defect"), EXIT_INTERNAL),
+            (KeyError("defect"), EXIT_INTERNAL),
+            (jsonschema.ValidationError("bad field"), EXIT_INPUT),
+        ],
+        ids=["ValueError", "CoverError", "KeyError", "ValidationError"],
+    )
+    def test_runner_exception(self, monkeypatch, capsys, exc, code):
+        def broken(scenario):
+            raise exc
+
+        monkeypatch.setitem(qusp.cli._RUNNERS, "singular_scan", broken)
+        assert main(["scan", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if code == EXIT_INTERNAL:
+            assert "internal error" in captured.err and "Traceback" in captured.err
+        else:
+            assert "input error: bad field" in captured.err and "Traceback" not in captured.err
+
+    def test_unwritable_out_path_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["scan", "2", "--out", str(out)]) == EXIT_INPUT
+        assert "cannot write report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["scales", "bounded_scales", "probe_scales"])
+    def test_nonpositive_scale_is_input_error(self, tmp_path, capsys, key):
+        scenario = {"scenario": "dense_witness", "eps": "1/2", "depth": 8, "grid": 16, key: ["1/4", "0"]}
+        assert main(["run", write_scenario(tmp_path, "scale.json", scenario)]) == EXIT_INPUT
+        assert f"{key}: every scale must be positive" in capsys.readouterr().err
+
+    def test_finite_ground_cap_is_input_error(self, tmp_path, capsys):
+        labels = [f"x{i}" for i in range(17)]
+        rows = ["0" * i + "1" + "0" * (16 - i) for i in range(17)]
+        q = {"min": rel_json(17, labels, rows)}
+        path = write_scenario(tmp_path, "big.json", {"scenario": "finite_compare", "q1": q, "q2": q})
+        assert main(["run", path]) == EXIT_INPUT
+        assert "capped at ground size 16" in capsys.readouterr().err

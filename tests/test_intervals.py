@@ -180,9 +180,6 @@ class TestPickPoint:
 
 
 class TestMisc:
-    def test_measure(self):
-        assert (iv(0, F(1, 4)) | iv(F(1, 2), 1)).measure() == F(3, 4)
-
     def test_json_round_trip(self):
         a = iv(F(1, 8), F(1, 3), lo_open=False) | point(F(1, 2)) | iv(F(2, 3), F(9, 10))
         assert RationalIntervalSet.from_json(a.to_json()) == a

@@ -21,9 +21,7 @@ from qusp.ratcover import (
     cover_normal_sequence,
     cover_successor_of_point,
     dense_scenario,
-    iv_image,
     oracle_by_kind,
-    pwm_via_metrics_check,
     random_interval_sets,
     refined_base,
     star_cover,
@@ -52,17 +50,17 @@ def ref_inf_dist(kind, piece, y):
 
 class TestOracleImages:
     def test_upper_halfline(self):
-        assert iv_image(UPPER, F(1, 4), iv(0, F(1, 2))) == iv(0, F(3, 4))
+        assert UPPER.image(F(1, 4), iv(0, F(1, 2))) == iv(0, F(3, 4))
 
     def test_euclid_point(self):
-        assert iv_image(EUCLID, F(1, 4), point(F(1, 2))) == iv(F(1, 4), F(3, 4))
+        assert EUCLID.image(F(1, 4), point(F(1, 2))) == iv(F(1, 4), F(3, 4))
 
     def test_empty(self):
         for oracle in (EUCLID, UPPER, LOWER):
-            assert iv_image(oracle, F(1, 4), EMPTY) == EMPTY
+            assert oracle.image(F(1, 4), EMPTY) == EMPTY
 
     def test_lower_halfline(self):
-        assert iv_image(LOWER, F(1, 8), iv(F(1, 2), F(3, 4))) == iv(F(3, 8), 1)
+        assert LOWER.image(F(1, 8), iv(F(1, 2), F(3, 4))) == iv(F(3, 8), 1)
 
     @given(st.sampled_from(["euclid", "upper", "lower"]), st.integers(1, 40), st.integers(1, 23))
     @settings(max_examples=60)
@@ -136,7 +134,6 @@ class TestChainCover:
         assert cover.sets[0] == iv(F(1, 2), 1)
         assert cover.sets[1] == iv(F(1, 4), 1)
         assert cover.truncation_depth == 64
-        assert pwm_via_metrics_check(cover)
 
     def test_constant_sets_rejected(self):
         with pytest.raises(CoverError, match="strictly increasing"):
@@ -161,7 +158,6 @@ class TestChainCover:
             depth=16,
         )
         assert cover.sets[0] == iv(0, F(1, 2))
-        assert pwm_via_metrics_check(cover)
 
     def test_lower_oracle_chain(self):
         cover = chain_cover_from_sequence(
@@ -170,7 +166,16 @@ class TestChainCover:
             lambda n: F(1, n + 2) - F(1, n + 3),
             depth=16,
         )
-        assert pwm_via_metrics_check(cover)
+        assert cover.sets[0] == iv(F(1, 2), 1)
+
+    def test_cover_construction_validates_ladder_and_witnesses(self):
+        cover = flagship(depth=16)
+        with pytest.raises(CoverError, match="ladder scales increase at n=1"):
+            OmegaCover(cover.oracle, cover.sets[:4], (F(1, 8), F(1, 4), F(1, 8), F(1, 16)))
+        with pytest.raises(CoverError, match="witness fails at n=0"):
+            OmegaCover(cover.oracle, cover.sets[:2], (F(1, 2), F(1, 2)))
+        with pytest.raises(CoverError, match="at least two"):
+            OmegaCover(EUCLID, (iv(F(1, 2), 1),), (F(1, 8),))
 
     def test_ladder_scales_nonincreasing_and_halving(self):
         cover = flagship()
@@ -278,16 +283,43 @@ class TestNormalSequence:
 # Reference implementations the fast paths replaced; kept only here.
 
 
+def reference_and(a, b):
+    """Every piece of a intersected with every piece of b, then normalized."""
+    pieces = []
+    for x in a.intervals:
+        for y in b.intervals:
+            lower = max(x.lower_cut, y.lower_cut)
+            upper = min(x.upper_cut, y.upper_cut)
+            if lower <= upper:
+                pieces.append(Interval(lower[0], upper[0], lower[1] == 1, upper[1] == -1))
+    return RationalIntervalSet(tuple(pieces))
+
+
+def reference_complement(a):
+    """The ground minus each piece of a in turn, one piece's two sides at a time."""
+    out = GROUND
+    for p in a.intervals:
+        sides = (Interval(F(0), p.lo, True, not p.lo_open), Interval(p.hi, F(1), not p.hi_open, True))
+        out = reference_and(out, RationalIntervalSet(sides))
+    return out
+
+
+def reference_strata(cover):
+    """``sets[0]``, then ``sets[n] - sets[n - 1]``, through the reference operations."""
+    sets = cover.sets
+    return [sets[0]] + [reference_and(sets[n], reference_complement(sets[n - 1])) for n in range(1, len(sets))]
+
+
 def all_pairs_meeting(fine, coarse):
     """Every fine stratum intersected with every coarse stratum."""
-    fine_strata = [fine.stratum(k) for k in range(fine.truncation_depth + 1)]
-    coarse_strata = [coarse.stratum(n) for n in range(coarse.truncation_depth + 1)]
+    fine_strata = reference_strata(fine)
+    coarse_strata = reference_strata(coarse)
     return [
         (k, n)
         for k, a in enumerate(fine_strata)
         if not a.is_empty
         for n, b in enumerate(coarse_strata)
-        if not (a & b).is_empty
+        if not reference_and(a, b).is_empty
     ]
 
 
@@ -424,6 +456,58 @@ class TestMinIndexBisection:
             probe = iv(edge, F(3, 4), lo_open=False)
             assert cover.min_index_containing(probe) == linear_first(cover, lambda s: probe <= s)
             assert cover.min_index_intersecting(probe) == linear_first(cover, lambda s: not (probe & s).is_empty)
+
+
+# Endpoints from a band of nine grid steps, so pieces of two sets often
+# share an endpoint, open or closed on either side.
+touching_sets = multi_interval_sets(DEN // 2 - 4, DEN // 2 + 4)
+interval_sets = st.one_of(multi_interval_sets(), touching_sets)
+
+
+class TestFastPathsAgainstReferences:
+    """The merge-pass set operations, cached strata and grid sweep."""
+
+    @given(interval_sets, interval_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_and_matches_all_pairs(self, a, b):
+        fast = a & b
+        assert fast.intervals == reference_and(a, b).intervals
+        assert (b & a).intervals == fast.intervals
+
+    @pytest.mark.parametrize("lo_open", [True, False])
+    @pytest.mark.parametrize("hi_open", [True, False])
+    def test_and_of_pieces_touching_at_one_endpoint(self, lo_open, hi_open):
+        left = iv(F(1, 4), F(1, 2), hi_open=hi_open) | iv(F(5, 8), F(3, 4))
+        right = iv(F(1, 2), F(5, 8), lo_open=lo_open, hi_open=False)
+        for a, b in ((left, right), (right, left)):
+            assert (a & b).intervals == reference_and(a, b).intervals
+
+    @given(interval_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_complement_is_normalized(self, a):
+        fast = a.complement()
+        assert fast.intervals == RationalIntervalSet(fast.intervals).intervals
+        assert fast.intervals == reference_complement(a).intervals
+
+    @given(nested_covers(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_cached_strata_and_index(self, cover, starred):
+        if starred:
+            cover = star_or_skip(cover)
+        strata = reference_strata(cover)
+        assert [s.intervals for s in cover.strata] == [s.intervals for s in strata]
+        assert all(cover.stratum(n) is cover.strata[n] for n in range(len(strata)))
+        tagged = sorted((p.lower_cut, p.upper_cut, n) for n, s in enumerate(strata) for p in s.intervals)
+        assert cover.stratum_index == tuple(tagged)
+
+    @given(nested_covers(), st.booleans(), st.integers(16, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_sweep_matches_linear_scan(self, cover, starred, grid_size):
+        if starred:
+            cover = star_or_skip(cover)
+        # Every multiple of 1/384 includes every endpoint the covers can have.
+        for grid in (rational_grid(grid_size), tuple(F(i, 4 * DEN) for i in range(1, 4 * DEN))):
+            assert cover.min_indices_of_sorted(grid) == [linear_first(cover, lambda s: x in s) for x in grid]
 
 
 class TestMonotoneCoverCert:
@@ -565,7 +649,6 @@ class TestRefinedBase:
         rb = refined_base(cover_normal_sequence(cover, 2, grid_size=128), [F(1, 4), F(1, 16)], probes)
         assert rb.certificate["passed"]
         assert len(rb.certificate["base"]) == 6
-        assert rb.base_description() == rb.certificate["base"]
         assert len(rb.certificate["membership"]) == 6 * len(probes)
 
     def test_trivial_scale_one(self):
@@ -615,25 +698,6 @@ class TestConnectivity:
     def test_certificate_shape(self):
         cert = connectivity_certificate(EUCLID, F(1, 8), [iv(F(1, 4), F(1, 2))])
         assert cert["passed"] and cert["fixed_set"] is None
-
-
-class TestPwmCheck:
-    def test_flagship_true(self):
-        assert pwm_via_metrics_check(flagship(depth=16))
-
-    def test_bad_ladder_false(self):
-        cover = flagship(depth=16)
-        doctored = OmegaCover(
-            cover.oracle,
-            cover.sets[:4],
-            (F(1, 8), F(1, 4), F(1, 8), F(1, 16)),
-            validate=False,
-        )
-        assert not pwm_via_metrics_check(doctored)
-
-    def test_degenerate_single_set_vacuous(self):
-        lonely = OmegaCover(EUCLID, (iv(F(1, 2), 1),), (F(1, 8),), validate=False)
-        assert pwm_via_metrics_check(lonely)
 
 
 class TestSerialization:
