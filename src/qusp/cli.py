@@ -29,6 +29,8 @@ from .hyper import MAX_HYPER_GROUND, qh_equivalent, qh_singular_scan
 from .metrize import check_sandwich, every_second_level, kelley_metric, random_normal_sequence
 from .quniform import FiniteQuasiUniformity
 from .ratcover import (
+    DEFAULT_GRID,
+    DEFAULT_TRUNCATION_DEPTH,
     CoverError,
     cert_monotonecover,
     cert_not_entourage,
@@ -194,10 +196,10 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
         eps = parse_frac(scenario["eps"])
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    depth = scenario.get("depth", 64)
+    depth = scenario.get("depth", DEFAULT_TRUNCATION_DEPTH)
     normal_depth = scenario.get("normal_depth", 3)
     refine_depth = scenario.get("refine_depth", 2)
-    grid = scenario.get("grid", 1 << 10)
+    grid = scenario.get("grid", DEFAULT_GRID)
     scales = _parse_scales(scenario, "scales", ["1/4", "1/16"])
     bounded_scales = _parse_scales(scenario, "bounded_scales", _DYADIC_DEFAULT)
     probe_scales = _parse_scales(scenario, "probe_scales", _DYADIC_DEFAULT)
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="build and certify the dense witness cover")
     p_wit.add_argument("--eps", required=True)
-    p_wit.add_argument("--depth", type=int, default=64)
+    p_wit.add_argument("--depth", type=int, default=DEFAULT_TRUNCATION_DEPTH)
     p_wit.add_argument("--probe-count", type=int, default=0)
     p_wit.add_argument("--probe-seed", type=int, default=None)
     p_wit.add_argument("--out", default=None)

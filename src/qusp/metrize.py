@@ -159,17 +159,10 @@ def check_sandwich(metric: FiniteQuasiPseudometric, ladder: NormalSequence) -> d
     For each index k the strict sublevel set {dist < 2^-k} must contain
     level k+1 (when materialized) and sit inside level k.
     """
-    n = metric.ground.size
     results = []
     ok = True
     for k in range(ladder.depth):
-        thr = Fraction(1, 2**k)
-        sub = Relation(
-            metric.ground,
-            tuple(
-                sum(1 << j for j in range(n) if metric.dist[i][j] < thr) for i in range(n)
-            ),
-        )
+        sub = entourage_at(metric, Fraction(1, 2**k))
         right = sub <= ladder.levels[k]
         left = None
         if k + 1 < ladder.depth:
