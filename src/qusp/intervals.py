@@ -48,6 +48,21 @@ class Interval:
         if lo > hi:
             raise ValueError("interval lower endpoint exceeds upper endpoint")
 
+    @classmethod
+    def _trusted(cls, lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> "Interval":
+        """Build from `Fraction` endpoints already known to satisfy 0 <= lo <= hi <= 1.
+
+        For `_cut_interval`, whose cuts come from validated intervals or the
+        ground and are checked to be ordered; every other way of building an
+        interval validates.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "lo", lo)
+        object.__setattr__(out, "hi", hi)
+        object.__setattr__(out, "lo_open", lo_open)
+        object.__setattr__(out, "hi_open", hi_open)
+        return out
+
     @property
     def lower_cut(self) -> Cut:
         return (self.lo, 1 if self.lo_open else 0)
@@ -75,7 +90,8 @@ class Interval:
 
 
 def _cut_interval(lower: Cut, upper: Cut) -> Interval:
-    return Interval(lower[0], upper[0], lo_open=lower[1] == 1, hi_open=upper[1] == -1)
+    """The interval between two cuts; callers pass ordered cuts inside the ground."""
+    return Interval._trusted(lower[0], upper[0], lower[1] == 1, upper[1] == -1)
 
 
 def _mergeable(upper: Cut, lower: Cut) -> bool:

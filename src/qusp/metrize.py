@@ -9,8 +9,13 @@ Here the construction is carried out exactly: each pair gets the dyadic
 weight 2^-k of the deepest level containing it (a configurable cap off the
 ladder entirely, zero on the diagonal), and the distance is the chain
 infimum of weight sums, i.e. an all-pairs shortest path over nonnegative
-rational weights.  No floating point is involved anywhere, so the sandwich
-containments above are decided exactly.
+rational weights.  Every weight is 0, 2^-k or the cap, so the shortest
+paths are computed on integer multiples of one common unit 1/D (D the lcm
+of the weight denominators) and returned as `Fraction` entries; a metric
+likewise keeps its entries as integers over their common denominator, on
+which the axioms and the sublevel thresholds are decided.  No floating
+point is involved anywhere (a float distance or cap is rejected), so the
+sandwich containments above are decided exactly.
 
 Truncation semantics: an off-diagonal pair lying in every materialized
 level only gets weight zero when the deepest level is transitive, because
@@ -25,8 +30,9 @@ second level; `every_second_level` is that transformer.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .quniform import FiniteTopology
@@ -36,30 +42,53 @@ from .serialize import frac_str, parse_frac
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction; a float is refused instead of expanded."""
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be an exact rational, not the float {value!r}")
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _common_units(matrix) -> tuple[int, list[list[int]]]:
+    """(D, m) with D the lcm of the denominators and matrix[i][j] = m[i][j] / D."""
+    scale = math.lcm(*{v.denominator for row in matrix for v in row})
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+
+
 @dataclass(frozen=True)
 class FiniteQuasiPseudometric:
-    """Nonnegative rational distance matrix; triangle inequality, no symmetry."""
+    """Nonnegative rational distance matrix; triangle inequality, no symmetry.
+
+    Besides the `Fraction` entries the instance keeps them as integers over
+    their common denominator (``_units[i][j] / _scale == dist[i][j]``); the
+    axioms are checked on those integers.  Neither takes part in equality
+    or repr.
+    """
 
     ground: GroundSet
     dist: Matrix
+    _scale: int = field(init=False, repr=False, compare=False)
+    _units: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ground.size
-        dist = tuple(tuple(Fraction(v) for v in row) for row in self.dist)
+        dist = tuple(tuple(_exact(v, "distance") for v in row) for row in self.dist)
         object.__setattr__(self, "dist", dist)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance matrix shape does not match ground")
-        for i in range(n):
-            if dist[i][i] != 0:
+        scale, units = _common_units(dist)
+        for i, row in enumerate(units):
+            if row[i] != 0:
                 raise ValueError("self-distance must be zero")
-            for j in range(n):
-                if dist[i][j] < 0:
-                    raise ValueError("distances must be nonnegative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if dist[i][k] > dist[i][j] + dist[j][k]:
+            if min(row) < 0:
+                raise ValueError("distances must be nonnegative")
+        for row_i in units:
+            for d_ij, row_j in zip(row_i, units):
+                for d_ik, d_jk in zip(row_i, row_j):
+                    if d_ik > d_ij + d_jk:
                         raise ValueError("triangle inequality violated")
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_units", tuple(map(tuple, units)))
 
     def to_json(self) -> dict:
         return {
@@ -96,31 +125,30 @@ def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> WeightFunct
     level drops to 0 only when the deepest level is transitive (see the
     module docstring).
     """
-    cap = Fraction(cap)
+    cap = _exact(cap, "cap")
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = seq.ground.size
     last = seq.depth - 1
     bottom = seq.levels[last]
-    stable_tail = compose(bottom, bottom) <= bottom
+    zero = Fraction(0)
+    by_level = [Fraction(1, 2**k) for k in range(seq.depth)]
+    if compose(bottom, bottom) <= bottom:
+        by_level[last] = zero
+    deepest_first = [(lvl.rows, weight) for lvl, weight in zip(seq.levels, by_level)][::-1]
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             if i == j:
-                row.append(Fraction(0))
+                row.append(zero)
                 continue
-            k = None
-            for lvl in range(last, -1, -1):
-                if seq.levels[lvl].has(i, j):
-                    k = lvl
+            for level_rows, weight in deepest_first:
+                if level_rows[i] >> j & 1:
                     break
-            if k is None:
-                row.append(cap)
-            elif k == last and stable_tail:
-                row.append(Fraction(0))
             else:
-                row.append(Fraction(1, 2**k))
+                weight = cap
+            row.append(weight)
         rows.append(tuple(row))
     return WeightFunction(seq.ground, tuple(rows), cap)
 
@@ -130,27 +158,23 @@ def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPs
 
     Requires level[k+1]^4 inside level[k] for each k (use
     `every_second_level` on a plain normal sequence first).  The distance is
-    the exact all-pairs shortest path over `weight_function` weights; the
-    triangle inequality holds by construction and the dyadic sandwich holds
-    for every representable level.
+    the exact all-pairs shortest path over `weight_function` weights, run on
+    integer multiples of 1/D for D the lcm of the weight denominators (which
+    covers a non-dyadic cap); the triangle inequality holds by construction
+    and the dyadic sandwich holds for every representable level.
     """
     for k in range(seq.depth - 1):
         sq = compose(seq.levels[k + 1], seq.levels[k + 1])
         if not compose(sq, sq) <= seq.levels[k]:
             raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
     w = weight_function(seq, cap)
-    n = seq.ground.size
-    dist = [list(row) for row in w.weight]
-    for mid in range(n):
-        for i in range(n):
-            via = dist[i][mid]
-            row_mid = dist[mid]
-            row_i = dist[i]
-            for j in range(n):
-                cand = via + row_mid[j]
-                if cand < row_i[j]:
-                    row_i[j] = cand
-    return FiniteQuasiPseudometric(seq.ground, tuple(tuple(row) for row in dist))
+    scale, dist = _common_units(w.weight)
+    for mid, row_mid in enumerate(dist):
+        for row_i in dist:
+            via = row_i[mid]
+            row_i[:] = [c if (c := via + b) < a else a for a, b in zip(row_i, row_mid)]
+    as_fraction = {v: Fraction(v, scale) for row in dist for v in row}
+    return FiniteQuasiPseudometric(seq.ground, tuple(tuple(map(as_fraction.get, row)) for row in dist))
 
 
 def check_sandwich(metric: FiniteQuasiPseudometric, ladder: NormalSequence) -> dict:
@@ -207,13 +231,19 @@ def symmetrize_metric(q: FiniteQuasiPseudometric) -> FiniteQuasiPseudometric:
 
 
 def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
-    """The strict sublevel relation {(x, y) : dist(x, y) < eps}."""
+    """The strict sublevel relation {(x, y) : dist(x, y) < eps}.
+
+    Decided on the metric's integer units: units / D < p / r exactly when
+    units * r < p * D.
+    """
     if eps <= 0:
         raise ValueError("threshold must be positive")
-    n = q.ground.size
+    eps = Fraction(eps)
+    den = eps.denominator
+    bound = eps.numerator * q._scale
     return Relation(
         q.ground,
-        tuple(sum(1 << j for j in range(n) if q.dist[i][j] < eps) for i in range(n)),
+        tuple(sum(1 << j for j, u in enumerate(row) if u * den < bound) for row in q._units),
     )
 
 

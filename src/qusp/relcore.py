@@ -157,11 +157,16 @@ def _check_same_ground(r: Relation, s: Relation) -> None:
 def compose(r: Relation, s: Relation) -> Relation:
     """First r, then s: (x, z) related iff some y has (x, y) in r, (y, z) in s."""
     _check_same_ground(r, s)
+    s_rows = s.rows
     rows = []
     for row in r.rows:
         acc = 0
-        for y in iter_bits(row):
-            acc |= s.rows[y]
+        y = 0
+        while row:
+            if row & 1:
+                acc |= s_rows[y]
+            row >>= 1
+            y += 1
         rows.append(acc)
     return Relation(r.ground, tuple(rows))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -117,6 +118,36 @@ class TestDeterminism:
         _, _, first = run_scenario(scenario)
         _, _, second = run_scenario(scenario)
         assert canonical_report_bytes(first) == canonical_report_bytes(second)
+
+
+class TestGoldenDigests:
+    """sha256 of canonical reports, pinned so that a rewrite of the code
+    behind a scenario cannot drift a single report byte unnoticed.  The
+    report names the tool version, so a version bump changes these too."""
+
+    CHAIN3 = {"min": rel_json(3, ["a", "b", "c"], ["111", "011", "001"])}
+    VEE3 = {"min": rel_json(3, ["a", "b", "c"], ["110", "010", "011"])}
+
+    @pytest.mark.parametrize(
+        "scenario, code, sha256",
+        [
+            (
+                {"scenario": "kelley_demo", "seed": 7, "n": 6, "depth": 6, "count": 200},
+                EXIT_PASS,
+                "4d907687b66a8f1309a901cc5f893fb3d9d340de4d8aa88f08c59c4dc8233019",
+            ),
+            (
+                {"scenario": "finite_compare", "q1": CHAIN3, "q2": VEE3},
+                EXIT_COUNTEREXAMPLE,
+                "94992e0fc2f89e5c0785ab8565863f2c399d46c9d72269de87b386db285277cf",
+            ),
+        ],
+        ids=["kelley_demo_readme", "finite_compare_chain_vs_vee"],
+    )
+    def test_canonical_report_digest(self, scenario, code, sha256):
+        got_code, _, report = run_scenario(scenario)
+        assert got_code == code
+        assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == sha256
 
 
 class TestExportTopology:

@@ -13,6 +13,7 @@ from qusp.intervals import (
     point,
     rational_grid,
 )
+from qusp.intervals import _cut_interval
 from qusp.serialize import parse_frac
 
 
@@ -202,3 +203,46 @@ class TestMisc:
         assert a.inf_cut == (F(1, 4), 0)
         assert a.sup_cut == (F(3, 4), -1)
         assert EMPTY.inf_cut is None
+
+
+@st.composite
+def ordered_cuts(draw):
+    """A lower and an upper cut inside the ground with lower <= upper."""
+    a = F(draw(st.integers(0, 24)), draw(st.sampled_from((1, 3, 8, 24))))
+    b = F(draw(st.integers(0, 24)), draw(st.sampled_from((1, 3, 8, 24))))
+    lo, hi = sorted((min(a, F(1)), min(b, F(1))))
+    lower = (lo, draw(st.sampled_from((0, 1))))
+    upper = (hi, draw(st.sampled_from((-1, 0))))
+    if upper < lower:  # only at lo == hi with an open side: take the point
+        lower = upper = (lo, 0)
+    return lower, upper
+
+
+class TestTrustedInterval:
+    @given(ordered_cuts())
+    @settings(max_examples=300)
+    def test_cut_interval_equals_validating_constructor(self, cuts):
+        lower, upper = cuts
+        got = _cut_interval(lower, upper)
+        want = Interval(lower[0], upper[0], lower[1] == 1, upper[1] == -1)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert type(got.lo) is F and type(got.hi) is F
+        assert (got.lower_cut, got.upper_cut) == (lower, upper)
+
+    @given(raw_interval_lists(), raw_interval_lists())
+    @settings(max_examples=100)
+    def test_set_operations_build_valid_intervals(self, raw_a, raw_b):
+        a, b = build(raw_a), build(raw_b)
+        for result in (a & b, a.complement(), a - b, a | b):
+            for piece in result.intervals:
+                assert piece == Interval(piece.lo, piece.hi, piece.lo_open, piece.hi_open)
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            Interval(F(1, 2), F(1, 3))
+        with pytest.raises(ValueError, match="within"):
+            Interval(F(-1, 2), F(1, 3))
+        with pytest.raises(ValueError, match="within"):
+            iv(F(1, 2), F(3, 2))
+        with pytest.raises(ValueError, match="exceeds"):
+            Interval.from_json({"lo": "2/3", "hi": "1/3", "lo_open": True, "hi_open": True})

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qusp.metrize import (
     FiniteQuasiPseudometric,
@@ -17,7 +19,7 @@ from qusp.metrize import (
     weight_function,
 )
 from qusp.quniform import join_topologies
-from qusp.relcore import NormalSequence, Relation, compose, ground
+from qusp.relcore import GroundSet, NormalSequence, Relation, compose, ground
 
 G2 = ground("a", "b")
 
@@ -223,3 +225,162 @@ class TestEverySecondLevel:
             for k in range(sub.depth - 1):
                 sq = compose(sub.levels[k + 1], sub.levels[k + 1])
                 assert compose(sq, sq) <= sub.levels[k]
+
+
+# References for the integer fast paths: the Fraction loops that
+# `kelley_metric` and `FiniteQuasiPseudometric` ran before they moved to
+# integer multiples of a common unit.
+
+
+def reference_floyd_warshall(weight):
+    n = len(weight)
+    dist = [list(row) for row in weight]
+    for mid in range(n):
+        for i in range(n):
+            via = dist[i][mid]
+            for j in range(n):
+                cand = via + dist[mid][j]
+                if cand < dist[i][j]:
+                    dist[i][j] = cand
+    return tuple(tuple(row) for row in dist)
+
+
+def reference_metric_error(n, dist):
+    """The message fragment the Fraction checks fail with, or None when all hold."""
+    if len(dist) != n or any(len(row) != n for row in dist):
+        return "shape"
+    for i in range(n):
+        if dist[i][i] != 0:
+            return "self-distance"
+        for j in range(n):
+            if dist[i][j] < 0:
+                return "nonnegative"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    return "triangle"
+    return None
+
+
+def points(n):
+    return GroundSet(tuple(f"x{i}" for i in range(n)))
+
+
+MIXED_ENTRIES = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 5, 8)))
+NUDGES = (F(1, 15), F(-1, 15), F(1, 60), F(-1, 60), F(1, 3), F(-1, 3))
+
+
+@st.composite
+def mixed_matrices(draw, n_max=5):
+    """Square matrices over thirds, fifths and dyadics, often near the boundary.
+
+    A raw draw rarely satisfies the triangle inequality, so most draws are
+    closed under shortest paths (a metric) and some of those get one entry
+    nudged by a small amount, which lands just inside or just outside; a few
+    get a nonzero diagonal, and nudging down may go negative.
+    """
+    n = draw(st.integers(1, n_max))
+    m = [[F(0) if i == j else draw(MIXED_ENTRIES) for j in range(n)] for i in range(n)]
+    mode = draw(st.sampled_from(("raw", "closed", "nudged", "nudged", "diagonal")))
+    if mode != "raw":
+        m = [list(row) for row in reference_floyd_warshall(m)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if mode == "nudged":
+        m[i][j] += draw(st.sampled_from(NUDGES))
+    elif mode == "diagonal":
+        m[i][i] = draw(st.sampled_from((F(1, 3), F(1, 5))))
+    return n, tuple(tuple(row) for row in m)
+
+
+class TestIntegerFastPaths:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 7),
+        depth=st.integers(1, 8),
+        cap=st.sampled_from((F(1), F(3, 7), F(5, 2))),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kelley_metric_matches_fraction_floyd_warshall(self, seed, n, depth, cap):
+        sub = every_second_level(random_normal_sequence(seed, n, depth))
+        expected = reference_floyd_warshall(weight_function(sub, cap).weight)
+        got = kelley_metric(sub, cap).dist
+        assert got == expected
+        assert all(type(v) is F for row in got for v in row)
+
+    @given(mixed_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_validation_accepts_what_the_fraction_checks_accept(self, drawn):
+        n, dist = drawn
+        expected = reference_metric_error(n, dist)
+        if expected is None:
+            assert FiniteQuasiPseudometric(points(n), dist).dist == dist
+        else:
+            with pytest.raises(ValueError, match=expected):
+                FiniteQuasiPseudometric(points(n), dist)
+
+    @pytest.mark.parametrize("d_ac, accepted", [(F(3, 4), False), (F(2, 3), True), (F(2, 3) + F(1, 10**9), False)])
+    def test_near_miss_separated_exactly(self, d_ac, accepted):
+        # d(a, b) + d(b, c) = 1/3 + 1/3; every other triangle holds.
+        dist = (
+            (F(0), F(1, 3), d_ac),
+            (F(1), F(0), F(1, 3)),
+            (F(1), F(1), F(0)),
+        )
+        assert reference_metric_error(3, dist) == (None if accepted else "triangle")
+        if accepted:
+            FiniteQuasiPseudometric(ground("a", "b", "c"), dist)
+        else:
+            with pytest.raises(ValueError, match="triangle"):
+                FiniteQuasiPseudometric(ground("a", "b", "c"), dist)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            FiniteQuasiPseudometric(G2, ((F(0), F(1)), (F(1),)))
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 7), depth=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    @example(seed=0, n=2, depth=3)
+    def test_entourage_matches_fraction_comparison(self, seed, n, depth):
+        # A dyadic metric: no denominator of 2/3, 1/5 or 7/9 divides its unit.
+        # Every entry is a threshold too, where strict and non-strict differ.
+        q = kelley_metric(every_second_level(random_normal_sequence(seed, n, depth)))
+        thresholds = {F(2, 3), F(1, 5), F(7, 9)} | {v for row in q.dist for v in row if v > 0}
+        for eps in thresholds:
+            expected = tuple(sum(1 << j for j in range(n) if q.dist[i][j] < eps) for i in range(n))
+            assert entourage_at(q, eps).rows == expected
+        for eps in (F(0), F(-1, 3)):
+            with pytest.raises(ValueError, match="positive"):
+                entourage_at(q, eps)
+
+    @given(mixed_matrices(n_max=4))
+    @settings(max_examples=100, deadline=None)
+    def test_entourage_on_mixed_denominators(self, drawn):
+        n, dist = drawn
+        if reference_metric_error(n, dist) is not None:
+            return
+        q = FiniteQuasiPseudometric(points(n), dist)
+        for eps in {F(2, 3), F(1, 5), F(7, 9), F(1, 7)} | {v for row in dist for v in row if v > 0}:
+            expected = tuple(sum(1 << j for j in range(n) if dist[i][j] < eps) for i in range(n))
+            assert entourage_at(q, eps).rows == expected
+
+    def test_integer_units_stay_out_of_equality_and_repr(self):
+        a = FiniteQuasiPseudometric(G2, ((0, F(1, 2)), (1, 0)))
+        b = FiniteQuasiPseudometric(G2, ((F(0), F(2, 4)), (F(3, 3), F(0))))
+        assert a == b and hash(a) == hash(b)
+        assert "_units" not in repr(a) and "_scale" not in repr(a)
+        assert a.to_json() == b.to_json() and set(a.to_json()) == {"labels", "dist"}
+
+
+class TestFloatsRejected:
+    def test_metric_entry(self):
+        with pytest.raises(TypeError, match="0.3"):
+            FiniteQuasiPseudometric(G2, ((F(0), 0.3), (F(1), F(0))))
+
+    def test_weight_function_cap(self):
+        with pytest.raises(TypeError, match="0.5"):
+            weight_function(two_point_ladder(), 0.5)
+
+    def test_kelley_metric_cap(self):
+        with pytest.raises(TypeError, match="0.25"):
+            kelley_metric(two_point_ladder(), 0.25)

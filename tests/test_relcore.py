@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qusp.relcore import (
@@ -50,6 +50,28 @@ def relation_triples(draw, n_min=1, n_max=4):
     return one(), one(), one()
 
 
+def reference_compose(r, s):
+    """Composition walking each row with `iter_bits`, the loop `compose` replaced."""
+    rows = []
+    for row in r.rows:
+        acc = 0
+        for y in iter_bits(row):
+            acc |= s.rows[y]
+        rows.append(acc)
+    return Relation(r.ground, tuple(rows))
+
+
+@st.composite
+def relation_pairs_with_edge_rows(draw, n_max=16):
+    # Each row is drawn free, empty, full or a single high bit, so empty and
+    # full rows and the top index occur often.
+    n = draw(st.integers(1, n_max))
+    g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    full = (1 << n) - 1
+    row = st.one_of(st.integers(0, full), st.sampled_from((0, full, 1 << (n - 1))))
+    return tuple(Relation(g, tuple(draw(row) for _ in range(n))) for _ in range(2))
+
+
 class TestCompose:
     def test_identity_is_unit(self):
         r = rel3([("a", "b"), ("c", "a")])
@@ -79,6 +101,13 @@ class TestCompose:
     def test_ground_mismatch(self):
         with pytest.raises(ValueError):
             compose(DELTA3, Relation.identity(ground("a", "b")))
+
+    @given(relation_pairs_with_edge_rows())
+    @settings(max_examples=300)
+    def test_matches_iter_bits_reference(self, pair):
+        r, s = pair
+        assert compose(r, s) == reference_compose(r, s)
+        assert compose(r, r) == reference_compose(r, r)
 
 
 class TestInverse:
