@@ -25,7 +25,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .hyper import MAX_HYPER_GROUND, qh_equivalent, qh_singular_scan
+from .hyper import MAX_ENUMERATE, MAX_HYPER_GROUND, enumerate_preorders, qh_equivalent, qh_singular_scan
 from .metrize import check_sandwich, every_second_level, kelley_metric, random_normal_sequence
 from .quniform import FiniteQuasiUniformity
 from .ratcover import (
@@ -113,7 +113,7 @@ def export_topology(q: FiniteQuasiUniformity, name: str = "specialization") -> s
     k = len(classes)
     lines = [f"digraph {name} {{"]
     for idx, cls in enumerate(classes):
-        label = "=".join(q.ground.labels_of(cls))
+        label = "=".join(q.ground.labels_of(cls)).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  c{idx} [label="{label}"];')
     for a in range(k):
         for b in range(k):
@@ -299,10 +299,8 @@ def _cmd_run(args) -> tuple[int, str]:
 
 
 def _cmd_enumerate(args) -> tuple[int, str]:
-    from .hyper import enumerate_preorders
-
-    if args.n < 1 or args.n > 5:
-        raise InputProblem("enumerate supports 1 <= n <= 5")
+    if args.n < 1 or args.n > MAX_ENUMERATE:
+        raise InputProblem(f"enumerate supports 1 <= n <= {MAX_ENUMERATE}")
     start = time.monotonic()
     count = len(enumerate_preorders(args.n))
     report = build_report(

@@ -49,10 +49,6 @@ class HyperRelation:
     def has(self, a_mask: int, b_mask: int) -> bool:
         return bool(self.rows[a_mask] >> b_mask & 1)
 
-    def successors(self, a_mask: int) -> int:
-        """Bit vector over subset masks related to ``a_mask``."""
-        return self.rows[a_mask]
-
     def __le__(self, other: "HyperRelation") -> bool:
         if self.base_ground != other.base_ground:
             raise ValueError("hyper relations live on different ground sets")
@@ -178,19 +174,15 @@ class QHVerdict:
         return self.finer_forward and self.finer_backward
 
 
-def qh_finer(q1: FiniteQuasiUniformity, q2: FiniteQuasiUniformity) -> bool:
-    """q1 is QH-finer than q2: the hyperspace topology of q2 is coarser.
-
-    Both hyperspace quasi-uniformities are principal, and finite topologies
-    reverse the order of their preorders, so this reduces to containment of
-    the hyper_h minimum entourages.
-    """
-    if q1.ground != q2.ground:
-        raise ValueError("quasi-uniformities live on different ground sets")
-    return hyper_h(q1.min_entourage) <= hyper_h(q2.min_entourage)
-
-
 def qh_equivalent(q1: FiniteQuasiUniformity, q2: FiniteQuasiUniformity) -> QHVerdict:
+    """Decide QH-finer both ways by containment of the hyper_h minima.
+
+    q1 is QH-finer than q2 when the hyperspace topology of q2 is coarser.
+    Both hyperspace quasi-uniformities are principal and finite topologies
+    reverse the order of their preorders, so ``finer_forward`` is
+    ``hyper_h(q1.min) <= hyper_h(q2.min)``.  The counterexample is the first
+    subset mask whose successor rows differ in the failing direction.
+    """
     if q1.ground != q2.ground:
         raise ValueError("quasi-uniformities live on different ground sets")
     h1 = hyper_h(q1.min_entourage)
@@ -249,7 +241,11 @@ def qh_singular_scan(n: int) -> dict:
     """Exhaustively check that no two distinct preorders are QH-equivalent.
 
     The hyper_h matrix of each preorder is computed once and compared
-    pairwise through a table keyed by the matrix rows.
+    pairwise through a table keyed by the matrix rows.  For reflexive u, v
+    the pointwise reduction gives hyper_h(u) <= hyper_h(v) exactly when
+    u <= v (at a singleton {x}, `qh_local_criterion` forces u(x) inside
+    v(x)), so hyper_h is injective on preorders and a collision would be a
+    defect of this implementation, not a counterexample in the mathematics.
     """
     if n > MAX_SCAN:
         raise ValueError(f"singularity scan capped at n = {MAX_SCAN}")

@@ -35,8 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quniform import FiniteTopology
-from .relcore import GroundSet, NormalSequence, Relation, compose, iter_bits
+from .relcore import GroundSet, NormalSequence, Relation, compose
 from .serialize import frac_str, parse_frac
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -196,40 +195,6 @@ def check_sandwich(metric: FiniteQuasiPseudometric, ladder: NormalSequence) -> d
     return {"passed": ok, "levels": results}
 
 
-def ball(q: FiniteQuasiPseudometric, a: int, eps: Fraction) -> int:
-    """Points strictly within eps of some point of the subset mask a."""
-    if eps <= 0:
-        raise ValueError("radius must be positive")
-    out = 0
-    for x in iter_bits(a):
-        for j in range(q.ground.size):
-            if q.dist[x][j] < eps:
-                out |= 1 << j
-    return out
-
-
-def dist_point_set(q: FiniteQuasiPseudometric, x: int, a: int) -> Fraction:
-    """Minimum distance from point index x into the nonempty subset mask a."""
-    if a == 0:
-        raise ValueError("distance to the empty set is undefined")
-    return min(q.dist[x][j] for j in iter_bits(a))
-
-
-def conjugate_metric(q: FiniteQuasiPseudometric) -> FiniteQuasiPseudometric:
-    n = q.ground.size
-    return FiniteQuasiPseudometric(
-        q.ground, tuple(tuple(q.dist[j][i] for j in range(n)) for i in range(n))
-    )
-
-
-def symmetrize_metric(q: FiniteQuasiPseudometric) -> FiniteQuasiPseudometric:
-    n = q.ground.size
-    return FiniteQuasiPseudometric(
-        q.ground,
-        tuple(tuple(max(q.dist[i][j], q.dist[j][i]) for j in range(n)) for i in range(n)),
-    )
-
-
 def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
     """The strict sublevel relation {(x, y) : dist(x, y) < eps}.
 
@@ -245,21 +210,6 @@ def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
         q.ground,
         tuple(sum(1 << j for j, u in enumerate(row) if u * den < bound) for row in q._units),
     )
-
-
-def metric_topology(q: FiniteQuasiPseudometric) -> FiniteTopology:
-    """Topology of the metric quasi-uniformity on a finite ground.
-
-    Below the smallest positive distance every ball collapses to the
-    zero-distance successors, so the specialization preorder is the
-    zero-distance relation (a preorder by the triangle inequality).
-    """
-    n = q.ground.size
-    zero = Relation(
-        q.ground,
-        tuple(sum(1 << j for j in range(n) if q.dist[i][j] == 0) for i in range(n)),
-    )
-    return FiniteTopology(q.ground, zero)
 
 
 def random_normal_sequence(

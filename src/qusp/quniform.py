@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .relcore import (
-    GroundSet,
-    Relation,
-    image,
-    inverse,
-    is_preorder,
-    min_small_cover,
-)
+from .relcore import GroundSet, Relation, image, inverse, is_preorder
 
 MAX_OPENS_GROUND = 16
 
@@ -89,26 +82,6 @@ class FiniteTopology:
         return other.specialization <= self.specialization
 
 
-def from_base(base: list[Relation]) -> FiniteQuasiUniformity:
-    """Quasi-uniformity generated by reflexive relations, when one exists.
-
-    The generated filter has minimum equal to the intersection of the base;
-    it is a quasi-uniformity exactly when that intersection is a preorder,
-    since no strictly smaller relation is available to halve it.
-    """
-    if not base:
-        raise ValueError("base must be nonempty")
-    acc = base[0]
-    for rel in base[1:]:
-        acc = acc & rel
-    for rel in base:
-        if not rel.is_reflexive():
-            raise ValueError("not a quasi-uniformity base: a base relation is not reflexive")
-    if not is_preorder(acc):
-        raise ValueError("not a quasi-uniformity base: intersection is not transitive")
-    return FiniteQuasiUniformity(acc.ground, acc)
-
-
 def conjugate(q: FiniteQuasiUniformity) -> FiniteQuasiUniformity:
     return FiniteQuasiUniformity(q.ground, inverse(q.min_entourage))
 
@@ -132,34 +105,3 @@ def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
     if t1.ground != t2.ground:
         raise ValueError("topologies live on different ground sets")
     return FiniteTopology(t1.ground, t1.specialization & t2.specialization)
-
-
-def is_uniformly_connected(q: FiniteQuasiUniformity) -> tuple[bool, int | None]:
-    """No proper nonempty subset is fixed by the minimum entourage's image.
-
-    A subset is uniformly isolated iff it is a proper nonempty up-set of the
-    minimum entourage (image is monotone in the relation, so the minimum is
-    the hardest entourage to escape).  A proper up-set exists iff some
-    principal up-set row(x) is proper, which doubles as the witness.
-    """
-    full = q.ground.full_mask
-    for x in range(q.ground.size):
-        row = q.min_entourage.rows[x]
-        if row != full:
-            return False, row
-    return True, None
-
-
-def ll(a: int, b: int, q: FiniteQuasiUniformity) -> bool:
-    """Some entourage maps a into b; on principal filters, test the minimum."""
-    return image(q.min_entourage, a) & ~b == 0
-
-
-def boundedness_number(q: FiniteQuasiUniformity) -> int:
-    """One more than the minimum small-cover size of the minimum entourage.
-
-    Smallness is monotone in the entourage, so the minimum entourage needs
-    the most parts; the "+1" keeps the count a strict bound.
-    """
-    count, _ = min_small_cover(q.min_entourage)
-    return count + 1

@@ -136,16 +136,6 @@ EUCLID = MetricOracle("euclid")
 UPPER = MetricOracle("upper")
 LOWER = MetricOracle("lower")
 
-_ORACLES = {"euclid": EUCLID, "upper": UPPER, "lower": LOWER}
-
-
-def oracle_by_kind(kind: str) -> MetricOracle:
-    try:
-        return _ORACLES[kind]
-    except KeyError:
-        raise ValueError(f"unknown oracle kind {kind!r}") from None
-
-
 @dataclass(frozen=True)
 class OmegaCover:
     """Materialized front of an omega-indexed proximally well-monotone cover.
@@ -275,13 +265,11 @@ class RefinedBase:
 
     ``covers[0]`` is the original cover; each later entry is the star cover
     of its predecessor, so the induced successor relations form a normal
-    sequence for the first one.  ``background_scales`` lists the metric
-    scales intersected into the refined base (empty for a bare normal
-    sequence).  ``certificate`` carries the exact checks performed.
+    sequence for the first one.  ``certificate`` carries the exact checks
+    performed.
     """
 
     covers: tuple[OmegaCover, ...]
-    background_scales: tuple[Fraction, ...]
     certificate: dict
 
     def prefix(self, depth: int) -> "RefinedBase":
@@ -300,7 +288,7 @@ class RefinedBase:
             "pairs": pairs,
             "passed": all(p["passed"] for p in pairs),
         }
-        return RefinedBase(self.covers[: depth + 1], (), cert)
+        return RefinedBase(self.covers[: depth + 1], cert)
 
 
 def chain_cover_from_sequence(oracle, sets_fn, witness_scales_fn, depth: int = DEFAULT_TRUNCATION_DEPTH) -> OmegaCover:
@@ -479,7 +467,7 @@ def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GR
         "pairs": [{"finer": j + 1, "coarser": j, **rep} for j, rep in enumerate(pair_reports)],
         "passed": all(rep["passed"] for rep in pair_reports),
     }
-    return RefinedBase(tuple(covers), (), cert)
+    return RefinedBase(tuple(covers), cert)
 
 
 def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
@@ -815,7 +803,7 @@ def refined_base(
         "membership": membership,
         "passed": True,
     }
-    return RefinedBase(seq.covers, tuple(scales), cert)
+    return RefinedBase(seq.covers, cert)
 
 
 def dense_scenario(

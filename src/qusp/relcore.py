@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-MAX_SMALL_COVER_SIZE = 12
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask``, lowest first."""
@@ -104,9 +102,6 @@ class Relation:
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def relates(self, a: str, b: str) -> bool:
-        return self.has(self.ground.index(a), self.ground.index(b))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.rows):
@@ -220,69 +215,3 @@ class NormalSequence:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-
-def _maximal_cliques(adj: list[int], n: int) -> list[int]:
-    """Bron-Kerbosch with pivoting; ``adj`` may carry self bits, ignored here."""
-    nbr = [adj[i] & ~(1 << i) for i in range(n)]
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pool = p | x
-        pivot = max(iter_bits(pool), key=lambda v: (nbr[v] & p).bit_count())
-        for v in iter_bits(p & ~nbr[pivot]):
-            bit = 1 << v
-            bk(r | bit, p & nbr[v], x & nbr[v])
-            p &= ~bit
-            x |= bit
-
-    bk(0, (1 << n) - 1, 0)
-    return sorted(out)
-
-
-def min_small_cover(u: Relation) -> tuple[int, tuple[int, ...]]:
-    """Smallest cover of the ground set by parts A with A x A inside u.
-
-    A part is u-small exactly when it is a clique of the symmetric part of u,
-    so this is an exact minimum clique cover, found by branch and bound over
-    maximal cliques.  Exhaustive; capped at ground size 12.
-    """
-    n = u.ground.size
-    if n > MAX_SMALL_COVER_SIZE:
-        raise ValueError(f"min_small_cover is exact only; ground size capped at {MAX_SMALL_COVER_SIZE}")
-    if not u.is_reflexive():
-        raise ValueError("relation is not reflexive: some singleton is not small")
-    inv = inverse(u)
-    adj = [u.rows[i] & inv.rows[i] for i in range(n)]
-    cliques = _maximal_cliques(adj, n)
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for c in cliques:
-        for v in iter_bits(c):
-            by_vertex[v].append(c)
-    for v in range(n):
-        by_vertex[v].sort(key=lambda c: (-c.bit_count(), c))
-
-    full = (1 << n) - 1
-    best_parts: list[int] = [1 << i for i in range(n)]
-    best_count = n
-
-    def search(covered: int, chosen: list[int]) -> None:
-        nonlocal best_parts, best_count
-        if covered == full:
-            if len(chosen) < best_count:
-                best_count = len(chosen)
-                best_parts = list(chosen)
-            return
-        if len(chosen) + 1 >= best_count:
-            return
-        v = next(iter_bits(~covered & full))
-        for c in by_vertex[v]:
-            chosen.append(c)
-            search(covered | c, chosen)
-            chosen.pop()
-
-    search(0, [])
-    return best_count, tuple(sorted(best_parts))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import jsonschema
 import pytest
@@ -182,6 +183,12 @@ class TestExportTopology:
         g = ground(*[f"x{i}" for i in range(9)])
         with pytest.raises(Exception, match="capped"):
             export_topology(FiniteQuasiUniformity.discrete(g))
+
+    def test_labels_escaped(self):
+        labels = ['a"b', "c\\", 'd\\"e']
+        dot = export_topology(FiniteQuasiUniformity.discrete(ground(*labels)))
+        quoted = re.findall(r'^  c\d+ \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.M)
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels
 
 
 class TestMainEntry:

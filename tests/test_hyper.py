@@ -11,7 +11,6 @@ from qusp.hyper import (
     hyper_plus,
     powerset_ground,
     qh_equivalent,
-    qh_finer,
     qh_local_criterion,
     qh_singular_scan,
 )
@@ -47,6 +46,32 @@ def naive_preorders(g):
 
 def successor_masks(h, a):
     return {b for b in range(h.size) if h.has(a, b)}
+
+
+def first_escape(u, v):
+    """Lowest point x with u(x) not inside v(x), or None when u <= v."""
+    return next((x for x in range(u.ground.size) if u.rows[x] & ~v.rows[x]), None)
+
+
+def transitive_closure(r):
+    while not compose(r, r) <= r:
+        r = compose(r, r)
+    return r
+
+
+@st.composite
+def reflexive_pairs(draw, n_max=6, closed=False):
+    """(u, v) on one ground of up to n_max points; v contains u about half the time."""
+    n = draw(st.integers(1, n_max))
+    g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    row = st.integers(0, (1 << n) - 1)
+    u_rows = [draw(row) | 1 << i for i in range(n)]
+    base = u_rows if draw(st.booleans()) else [1 << i for i in range(n)]
+    v_rows = [b | draw(row) | 1 << i for i, b in enumerate(base)]
+    u, v = Relation(g, tuple(u_rows)), Relation(g, tuple(v_rows))
+    if closed:
+        u, v = transitive_closure(u), transitive_closure(v)
+    return u, v
 
 
 class TestHyperRelations:
@@ -168,18 +193,17 @@ class TestLocalCriterion:
 class TestQHComparison:
     def test_reflexive(self):
         q = FiniteQuasiUniformity.discrete(G2)
-        assert qh_finer(q, q)
+        assert qh_equivalent(q, q).finer_forward
 
     def test_discrete_is_finest(self):
-        disc = FiniteQuasiUniformity.discrete(G3)
         for r in enumerate_preorders(3):
             q = FiniteQuasiUniformity(r.ground, r)
-            assert qh_finer(FiniteQuasiUniformity.discrete(r.ground), q)
+            assert qh_equivalent(FiniteQuasiUniformity.discrete(r.ground), q).finer_forward
 
     def test_indiscrete_not_finer_than_discrete(self):
-        assert not qh_finer(
+        assert not qh_equivalent(
             FiniteQuasiUniformity.indiscrete(G2), FiniteQuasiUniformity.discrete(G2)
-        )
+        ).finer_forward
 
     def test_equivalent_reflexive(self):
         q = FiniteQuasiUniformity.indiscrete(G2)
@@ -199,7 +223,7 @@ class TestQHComparison:
         qs = [FiniteQuasiUniformity(r.ground, r) for r in enumerate_preorders(3)]
         for q1 in qs:
             for q2 in qs:
-                if qh_finer(q1, q2):
+                if qh_equivalent(q1, q2).finer_forward:
                     assert q1.min_entourage <= q2.min_entourage
                     assert topology_of(q2).is_coarser_than(topology_of(q1))
 
@@ -210,6 +234,33 @@ class TestQHComparison:
                 if qh_equivalent(q1, q2).equivalent:
                     assert topology_of(q1) == topology_of(q2)
                     assert q1 == q2  # distinct preorders never collide at this size
+
+    @given(reflexive_pairs())
+    def test_hyper_containment_is_pointwise(self, pair):
+        u, v = pair
+        hu, hv = hyper_h(u), hyper_h(v)
+        assert (hu <= hv) == (u <= v)
+        x = first_escape(u, v)
+        if x is not None:
+            first = next(m for m in range(hu.size) if hu.rows[m] & ~hv.rows[m])
+            assert first == 1 << x
+
+    @given(reflexive_pairs(closed=True))
+    def test_verdict_follows_the_reduction(self, pair):
+        u, v = pair
+        verdict = qh_equivalent(
+            FiniteQuasiUniformity(u.ground, u), FiniteQuasiUniformity(v.ground, v)
+        )
+        assert verdict.finer_forward == (u <= v)
+        assert verdict.finer_backward == (v <= u)
+        forward, backward = first_escape(u, v), first_escape(v, u)
+        if forward is not None:
+            expected = (1 << forward, "forward")
+        elif backward is not None:
+            expected = (1 << backward, "backward")
+        else:
+            expected = None
+        assert verdict.counterexample == expected
 
 
 class TestEnumerate:

@@ -6,19 +6,13 @@ from hypothesis import strategies as st
 
 from qusp.metrize import (
     FiniteQuasiPseudometric,
-    ball,
     check_sandwich,
-    conjugate_metric,
-    dist_point_set,
     entourage_at,
     every_second_level,
     kelley_metric,
-    metric_topology,
     random_normal_sequence,
-    symmetrize_metric,
     weight_function,
 )
-from qusp.quniform import join_topologies
 from qusp.relcore import GroundSet, NormalSequence, Relation, compose, ground
 
 G2 = ground("a", "b")
@@ -137,62 +131,6 @@ class TestMetricOps:
         return FiniteQuasiPseudometric(
             ground("a", "b"), ((F(0), F(1, 2)), (F(1), F(0)))
         )
-
-    def test_ball_examples(self):
-        q = self.q()
-        assert ball(q, 0, F(1)) == 0
-        assert ball(q, 0b01, F(1, 2)) == 0b01
-        assert ball(q, 0b01, F(3, 4)) == 0b11
-        assert ball(q, 0b11, F(1, 4)) & 0b11 == 0b11  # contains its center set
-
-    def test_ball_composition(self):
-        q = self.q()
-        for a in range(4):
-            for eps in (F(1, 4), F(1, 2)):
-                for delta in (F(1, 4), F(1, 2)):
-                    inner = ball(q, ball(q, a, eps), delta)
-                    assert inner & ~ball(q, a, eps + delta) == 0
-
-    def test_dist_point_set(self):
-        g = ground("a", "b", "c")
-        q = FiniteQuasiPseudometric(
-            g,
-            (
-                (F(0), F(1, 2), F(1, 4)),
-                (F(1, 2), F(0), F(3, 4)),
-                (F(1, 4), F(3, 4), F(0)),
-            ),
-        )
-        assert dist_point_set(q, 0, 0b001) == 0
-        assert dist_point_set(q, 0, 0b111) == 0
-        assert dist_point_set(q, 0, 0b110) == F(1, 4)
-        with pytest.raises(ValueError):
-            dist_point_set(q, 0, 0)
-
-    def test_conjugate_and_symmetrize(self):
-        q = self.q()
-        cj = conjugate_metric(q)
-        assert cj.dist[0][1] == 1 and cj.dist[1][0] == F(1, 2)
-        sy = symmetrize_metric(q)
-        assert sy.dist[0][1] == sy.dist[1][0] == 1
-        sym_input = symmetrize_metric(sy)
-        assert sym_input == sy and conjugate_metric(sy) == sy
-
-    def test_topology_join_identity(self):
-        for seed in range(10):
-            ladder = random_normal_sequence(seed, 5, 6)
-            q = kelley_metric(every_second_level(ladder))
-            left = metric_topology(symmetrize_metric(q))
-            right = join_topologies(
-                metric_topology(q), metric_topology(conjugate_metric(q))
-            )
-            assert left == right
-            # threshold grid: sublevel relations intersect pointwise
-            for k in range(4):
-                thr = F(1, 2**k)
-                sym_rel = entourage_at(symmetrize_metric(q), thr)
-                both = entourage_at(q, thr) & entourage_at(conjugate_metric(q), thr)
-                assert sym_rel == both
 
     def test_axioms_validated(self):
         with pytest.raises(ValueError, match="triangle"):

@@ -1,21 +1,15 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qusp.hyper import enumerate_preorders
 from qusp.quniform import (
     FiniteQuasiUniformity,
     FiniteTopology,
-    boundedness_number,
     conjugate,
-    from_base,
-    is_uniformly_connected,
     join_topologies,
-    ll,
     symmetrize,
     topology_of,
 )
-from qusp.relcore import Relation, ground, image
+from qusp.relcore import Relation, ground
 
 G2 = ground("a", "b")
 G3 = ground("a", "b", "c")
@@ -27,40 +21,6 @@ def q_of(g, pairs):
 
 def all_quniforms(n):
     return [FiniteQuasiUniformity(r.ground, r) for r in enumerate_preorders(n)]
-
-
-class TestFromBase:
-    def test_single_identity(self):
-        q = from_base([Relation.identity(G2)])
-        assert q.min_entourage == Relation.identity(G2)
-
-    def test_duplicated_full(self):
-        q = from_base([Relation.full(G2), Relation.full(G2)])
-        assert q.min_entourage == Relation.full(G2)
-
-    def test_intersection(self):
-        r1 = Relation.from_pairs(G2, [("a", "b")], reflexive=True)
-        r2 = Relation.from_pairs(G2, [("a", "b"), ("b", "a")], reflexive=True)
-        assert from_base([r1, r2]).min_entourage == r1
-
-    def test_rejects_intransitive_intersection(self):
-        r1 = Relation.from_pairs(G3, [("a", "b"), ("b", "c")], reflexive=True)
-        with pytest.raises(ValueError, match="not a quasi-uniformity base"):
-            from_base([r1])
-
-    def test_rejects_irreflexive(self):
-        with pytest.raises(ValueError, match="not a quasi-uniformity base"):
-            from_base([Relation.from_pairs(G2, [("a", "b")])])
-
-    @given(st.permutations([0, 1, 2]), st.integers(1, 3))
-    def test_order_and_duplication_independent(self, perm, dup):
-        rels = [
-            Relation.from_pairs(G3, [("a", "b")], reflexive=True),
-            Relation.from_pairs(G3, [("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")], reflexive=True),
-            Relation.full(G3),
-        ]
-        base = [rels[i] for i in perm] + [rels[perm[0]]] * dup
-        assert from_base(base).min_entourage == from_base(rels).min_entourage
 
 
 class TestConjugateSymmetrize:
@@ -129,43 +89,6 @@ class TestTopology:
                 t1, t2 = topology_of(q1), topology_of(q2)
                 by_opens = set(t1.opens()) <= set(t2.opens())
                 assert t1.is_coarser_than(t2) == by_opens
-
-
-class TestConnectivity:
-    def test_indiscrete_connected(self):
-        ok, witness = is_uniformly_connected(FiniteQuasiUniformity.indiscrete(G3))
-        assert ok and witness is None
-
-    def test_discrete_disconnected(self):
-        ok, witness = is_uniformly_connected(FiniteQuasiUniformity.discrete(G3))
-        assert not ok
-        assert witness is not None and 0 < witness < G3.full_mask
-
-    def test_sierpinski_witness(self):
-        ok, witness = is_uniformly_connected(q_of(G2, [("a", "b")]))
-        assert not ok and witness == G2.mask_of(["b"])
-
-    def test_connected_iff_full_exhaustive_n4(self):
-        for n in (1, 2, 3, 4):
-            for q in all_quniforms(n):
-                ok, witness = is_uniformly_connected(q)
-                assert ok == (q.min_entourage == Relation.full(q.ground))
-                if not ok:
-                    assert image(q.min_entourage, witness) == witness
-
-
-class TestLLAndBoundedness:
-    def test_ll(self):
-        q = q_of(G3, [("a", "b")])
-        assert ll(0, G3.mask_of(["b"]), q)
-        assert ll(G3.mask_of(["a"]), G3.full_mask, q)
-        assert ll(G3.mask_of(["a"]), G3.mask_of(["a", "b"]), q)
-        assert not ll(G3.mask_of(["a"]), G3.mask_of(["a"]), q)
-
-    def test_boundedness_examples(self):
-        assert boundedness_number(FiniteQuasiUniformity.indiscrete(G3)) == 2
-        assert boundedness_number(FiniteQuasiUniformity.discrete(G3)) == 4
-        assert boundedness_number(q_of(G3, [("a", "b"), ("b", "a")])) == 3
 
 
 class TestValidation:

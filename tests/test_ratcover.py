@@ -21,7 +21,6 @@ from qusp.ratcover import (
     cover_normal_sequence,
     cover_successor_of_point,
     dense_scenario,
-    oracle_by_kind,
     random_interval_sets,
     refined_base,
     star_cover,
@@ -65,7 +64,7 @@ class TestOracleImages:
     @given(st.sampled_from(["euclid", "upper", "lower"]), st.integers(1, 40), st.integers(1, 23))
     @settings(max_examples=60)
     def test_pointwise_against_reference(self, kind, eps_num, spread):
-        oracle = oracle_by_kind(kind)
+        oracle = MetricOracle(kind)
         eps = F(eps_num, 40)
         a = iv(F(spread, 25), F(spread + 1, 25), lo_open=spread % 2 == 0) | point(F(1, 2))
         img = oracle.image(eps, a)
@@ -76,7 +75,7 @@ class TestOracleImages:
     @given(st.sampled_from(["euclid", "upper", "lower"]), st.integers(1, 16), st.integers(1, 16))
     @settings(max_examples=40)
     def test_image_composition_bound(self, kind, e1, e2):
-        oracle = oracle_by_kind(kind)
+        oracle = MetricOracle(kind)
         a = iv(F(1, 3), F(2, 5)) | iv(F(1, 2), F(5, 8), hi_open=False)
         eps, delta = F(e1, 32), F(e2, 32)
         twice = oracle.image(delta, oracle.image(eps, a))

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from qusp.relcore import (
     inverse,
     is_preorder,
     iter_bits,
-    min_small_cover,
 )
 
 G3 = ground("a", "b", "c")
@@ -182,95 +179,6 @@ class TestNormalSequence:
         for a in range(1 << n):
             twice = image(seq.levels[1], image(seq.levels[1], a))
             assert twice & ~image(seq.levels[0], a) == 0
-
-
-def _small_masks(u):
-    n = u.ground.size
-    inv = inverse(u)
-    sym = [u.rows[i] & inv.rows[i] for i in range(n)]
-    out = []
-    for mask in range(1, 1 << n):
-        if all(mask & ~sym[i] == 0 for i in iter_bits(mask)):
-            out.append(mask)
-    return out
-
-
-def _brute_min_cover(u):
-    """Oracle: try all part multisets of increasing size over all small sets."""
-    n = u.ground.size
-    full = (1 << n) - 1
-    smalls = _small_masks(u)
-    for k in range(1, n + 1):
-        for combo in combinations(smalls, k):
-            acc = 0
-            for c in combo:
-                acc |= c
-            if acc == full:
-                return k
-    raise AssertionError("singletons always cover")
-
-
-class TestMinSmallCover:
-    def test_full_relation(self):
-        assert min_small_cover(FULL3)[0] == 1
-
-    def test_diagonal(self):
-        assert min_small_cover(DELTA3)[0] == 3
-
-    def test_symmetric_pair(self):
-        count, parts = min_small_cover(rel3([("a", "b"), ("b", "a")]))
-        assert count == 2
-        covered = 0
-        for p in parts:
-            covered |= p
-        assert covered == G3.full_mask
-
-    def test_rejects_non_reflexive(self):
-        with pytest.raises(ValueError, match="not reflexive"):
-            min_small_cover(Relation.from_pairs(G3, [("a", "b")]))
-
-    def test_size_cap(self):
-        g = GroundSet(tuple(f"x{i}" for i in range(13)))
-        with pytest.raises(ValueError, match="capped"):
-            min_small_cover(Relation.identity(g))
-
-    def test_against_brute_force_exhaustive_n3(self):
-        g = G3
-        for bits in range(1 << 6):
-            rows = []
-            k = 0
-            for i in range(3):
-                row = 1 << i
-                for j in range(3):
-                    if j != i:
-                        if bits >> k & 1:
-                            row |= 1 << j
-                        k += 1
-                rows.append(row)
-            u = Relation(g, tuple(rows))
-            count, parts = min_small_cover(u)
-            assert count == _brute_min_cover(u)
-            covered = 0
-            for p in parts:
-                covered |= p
-                assert all(p & ~ (u.rows[i] & inverse(u).rows[i]) == 0 for i in iter_bits(p))
-            assert covered == g.full_mask
-
-    def test_symmetric_part_invariant(self):
-        for bits in range(64):
-            rows = []
-            k = 0
-            for i in range(3):
-                row = 1 << i
-                for j in range(3):
-                    if j != i:
-                        if bits >> k & 1:
-                            row |= 1 << j
-                        k += 1
-                rows.append(row)
-            u = Relation(G3, tuple(rows))
-            sym = u & inverse(u)
-            assert min_small_cover(u) == min_small_cover(sym)
 
 
 class TestSerialization:
