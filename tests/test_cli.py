@@ -142,8 +142,28 @@ class TestGoldenDigests:
                 EXIT_COUNTEREXAMPLE,
                 "94992e0fc2f89e5c0785ab8565863f2c399d46c9d72269de87b386db285277cf",
             ),
+            (
+                {"scenario": "dense_witness", "eps": "1/2", "depth": 64, "probes": {"count": 50, "seed": 1}},
+                EXIT_PASS,
+                "58ed4d11855d5088b391a7698470617a2a4c632097d54ab134d63bf37f93aa41",
+            ),
+            (
+                {
+                    "scenario": "dense_witness",
+                    "eps": "1/3",
+                    "depth": 48,
+                    "normal_depth": 2,
+                    "refine_depth": 2,
+                    "probes": {"count": 8, "seed": 5},
+                    "scales": ["1/3", "2/7"],
+                    "bounded_scales": ["1/5", "3/11"],
+                    "probe_scales": ["1/9", "5/13"],
+                },
+                EXIT_PASS,
+                "be5c9c3e84d3ae0e1da083b6669da0a7bef5285f4ca5508f53bdf86938787247",
+            ),
         ],
-        ids=["kelley_demo_readme", "finite_compare_chain_vs_vee"],
+        ids=["kelley_demo_readme", "finite_compare_chain_vs_vee", "dense_witness_probes", "dense_witness_non_dyadic"],
     )
     def test_canonical_report_digest(self, scenario, code, sha256):
         got_code, _, report = run_scenario(scenario)
