@@ -36,7 +36,6 @@ from .ratcover import (
     cert_not_entourage,
     cover_normal_sequence,
     dense_scenario,
-    probe_indices,
     random_interval_sets,
     refined_base,
 )
@@ -212,9 +211,12 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
     probe_sets = []
     if probes_cfg:
         probe_sets = random_interval_sets(probes_cfg["seed"], probes_cfg["count"])
+    # A probe that cannot be decided within the truncation depth is an input
+    # problem; cert_monotonecover finds it first, before the tower is built.
+    mono = []
     for k, probe in enumerate(probe_sets):
         try:
-            probe_indices(cover, probe)
+            mono.append(cert_monotonecover(cover, probe))
         except CoverError as exc:
             raise InputProblem(
                 f"probe {k} cannot be decided within truncation depth {depth} ({type(exc).__name__}: {exc})"
@@ -225,7 +227,6 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
     tower = cover_normal_sequence(cover, max(normal_depth, refine_depth), grid_size=grid)
     normal = tower.prefix(normal_depth)
     certificates.append(normal.certificate)
-    mono = [cert_monotonecover(cover, p) for p in probe_sets]
     certificates.extend(mono)
     refine_failure = None
     base: list = []

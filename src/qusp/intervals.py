@@ -15,66 +15,131 @@ the second lower cut; over the dense rationals that happens only when the
 cuts share their value and the missing tweak pattern leaves no room, e.g.
 (a, b) followed by [b, c] merges while (a, b) followed by (b, c) leaves
 the single rational b out and must stay split.
+
+Inside this module a cut is an integer triple (numerator, denominator,
+tweak), reduced, with a positive denominator and zero written as (0, 1),
+so two cuts are equal exactly when their triples are.  Cuts are ordered by
+cross-multiplication, a*d' against a'*d, and then by tweak; every set
+operation, the image widening and the stratum sweeps run on these
+integers alone, since `Fraction` arithmetic normalizes and dispatches on
+every comparison and dominated the countable layer's run time.  `Fraction`
+stays at the edges: the constructors' arguments, `Interval.lo`/`hi`, the
+public cuts ``lower_cut``/``upper_cut``/``inf_cut``/``sup_cut`` as
+(Fraction, tweak) pairs, the points the sets hand out, and the widening
+amounts.  No other module looks inside a triple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import Iterable
 
-from .serialize import frac_str, parse_frac
+from .serialize import _exact, parse_frac
 
 Cut = tuple[Fraction, int]
 
 GROUND_LOWER: Cut = (Fraction(0), 1)
-GROUND_UPPER: Cut = (Fraction(1), -1)
+
+# A cut as reduced integers (numerator, denominator, tweak); see the module docstring.
+_Cut = tuple[int, int, int]
+
+_FLOOR: _Cut = (0, 1, 1)
+_CEIL: _Cut = (1, 1, -1)
 
 
-@dataclass(frozen=True)
+def _lt(a: _Cut, b: _Cut) -> bool:
+    x, y = a[0] * b[1], b[0] * a[1]
+    return x < y or x == y and a[2] < b[2]
+
+
+def _le(a: _Cut, b: _Cut) -> bool:
+    x, y = a[0] * b[1], b[0] * a[1]
+    return x < y or x == y and a[2] <= b[2]
+
+
+def _cmp(a: _Cut, b: _Cut) -> int:
+    x, y = a[0] * b[1], b[0] * a[1]
+    return (x > y) - (x < y) or a[2] - b[2]
+
+
+_by_cut = cmp_to_key(_cmp)
+
+
+def _value_str(cut: _Cut) -> str:
+    return str(cut[0]) if cut[1] == 1 else f"{cut[0]}/{cut[1]}"
+
+
 class Interval:
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool = True
-    hi_open: bool = True
+    """One interval inside [0, 1] with rational endpoints, open or closed at each.
 
-    def __post_init__(self) -> None:
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo < 0 or hi > 1:
+    Immutable.  Holds its two cuts as integer triples (``lower``, ``upper``);
+    the `Fraction` endpoints are computed on access.
+    """
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lo, hi, lo_open: bool = True, hi_open: bool = True) -> None:
+        lo = _exact(lo, "interval endpoint")
+        hi = _exact(hi, "interval endpoint")
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if ln < 0 or hn > hd:
             raise ValueError("interval endpoints must lie within [0, 1]")
-        if lo > hi:
+        if ln * hd > hn * ld:
             raise ValueError("interval lower endpoint exceeds upper endpoint")
+        object.__setattr__(self, "lower", (ln, ld, 1 if lo_open else 0))
+        object.__setattr__(self, "upper", (hn, hd, -1 if hi_open else 0))
 
-    @classmethod
-    def _trusted(cls, lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> "Interval":
-        """Build from `Fraction` endpoints already known to satisfy 0 <= lo <= hi <= 1.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-        For `_cut_interval`, whose cuts come from validated intervals or the
-        ground and are checked to be ordered; every other way of building an
-        interval validates.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "lo", lo)
-        object.__setattr__(out, "hi", hi)
-        object.__setattr__(out, "lo_open", lo_open)
-        object.__setattr__(out, "hi_open", hi_open)
-        return out
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_cut_interval, (self.lower, self.upper))
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lower[0], self.lower[1])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.upper[0], self.upper[1])
+
+    @property
+    def lo_open(self) -> bool:
+        return self.lower[2] == 1
+
+    @property
+    def hi_open(self) -> bool:
+        return self.upper[2] == -1
 
     @property
     def lower_cut(self) -> Cut:
-        return (self.lo, 1 if self.lo_open else 0)
+        return (self.lo, self.lower[2])
 
     @property
     def upper_cut(self) -> Cut:
-        return (self.hi, -1 if self.hi_open else 0)
+        return (self.hi, self.upper[2])
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lower == other.lower and self.upper == other.upper
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r}, lo_open={self.lo_open!r}, hi_open={self.hi_open!r})"
 
     def to_json(self) -> dict:
         return {
-            "lo": frac_str(self.lo),
-            "hi": frac_str(self.hi),
+            "lo": f"{self.lower[0]}/{self.lower[1]}",
+            "hi": f"{self.upper[0]}/{self.upper[1]}",
             "lo_open": self.lo_open,
             "hi_open": self.hi_open,
         }
@@ -86,31 +151,44 @@ class Interval:
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo},{self.hi}{right}"
+        return f"{left}{_value_str(self.lower)},{_value_str(self.upper)}{right}"
 
 
-def _cut_interval(lower: Cut, upper: Cut) -> Interval:
-    """The interval between two cuts; callers pass ordered cuts inside the ground."""
-    return Interval._trusted(lower[0], upper[0], lower[1] == 1, upper[1] == -1)
+def _cut_interval(lower: _Cut, upper: _Cut) -> Interval:
+    """The interval between two cuts, skipping validation.
+
+    Callers pass reduced, ordered cuts inside the ground, with a lower tweak
+    of 0 or 1 and an upper tweak of -1 or 0: cuts of validated intervals, of
+    the ground, or shifted and reduced from them.
+    """
+    out = object.__new__(Interval)
+    object.__setattr__(out, "lower", lower)
+    object.__setattr__(out, "upper", upper)
+    return out
 
 
-def _mergeable(upper: Cut, lower: Cut) -> bool:
+def _mergeable(upper: _Cut, lower: _Cut) -> bool:
     """No rational sits strictly between the cuts, so the pieces join up."""
-    if lower <= upper:
+    if _le(lower, upper):
         return True
-    if lower[0] != upper[0]:
+    if lower[:2] != upper[:2]:
         return False
-    return (upper[1], lower[1]) in {(-1, 0), (0, 1)}
+    return (upper[2], lower[2]) in {(-1, 0), (0, 1)}
 
 
-def _flip_up(cut: Cut) -> Cut:
+def _flip_up(cut: _Cut) -> _Cut:
     """Lower cut of the region just above an upper cut."""
-    return (cut[0], cut[1] + 1)
+    return (cut[0], cut[1], cut[2] + 1)
 
 
-def _flip_down(cut: Cut) -> Cut:
+def _flip_down(cut: _Cut) -> _Cut:
     """Upper cut of the region just below a lower cut."""
-    return (cut[0], cut[1] - 1)
+    return (cut[0], cut[1], cut[2] - 1)
+
+
+def _reduced(num: int, den: int, tweak: int) -> _Cut:
+    g = gcd(num, den)
+    return (num // g, den // g, tweak)
 
 
 @dataclass(frozen=True)
@@ -137,8 +215,9 @@ class RationalIntervalSet:
         return self.intervals[-1].upper_cut if self.intervals else None
 
     def __contains__(self, q: Fraction) -> bool:
-        cut = (Fraction(q), 0)
-        return any(iv.lower_cut <= cut <= iv.upper_cut for iv in self.intervals)
+        q = _exact(q, "point")
+        cut = (q.numerator, q.denominator, 0)
+        return any(_le(piece.lower, cut) and _le(cut, piece.upper) for piece in self.intervals)
 
     def __or__(self, other: "RationalIntervalSet") -> "RationalIntervalSet":
         return RationalIntervalSet(self.intervals + other.intervals)
@@ -167,15 +246,17 @@ class RationalIntervalSet:
         pieces = []
         i = j = 0
         while i < len(mine) and j < len(theirs):
-            a_upper, b_upper = mine[i].upper_cut, theirs[j].upper_cut
-            lower = max(mine[i].lower_cut, theirs[j].lower_cut)
-            upper = min(a_upper, b_upper)
-            if lower <= upper:
-                pieces.append(_cut_interval(lower, upper))
-            if a_upper < b_upper:
+            if _lt(mine[i].upper, theirs[j].upper):
+                first, later = mine[i], theirs[j]
                 i += 1
             else:
+                first, later = theirs[j], mine[i]
                 j += 1
+            # The overlap ends where ``first`` ends.
+            if _le(later.lower, first.lower):
+                pieces.append(first)
+            elif _le(later.lower, first.upper):
+                pieces.append(_cut_interval(later.lower, first.upper))
         return RationalIntervalSet._trusted(tuple(pieces))
 
     def complement(self) -> "RationalIntervalSet":
@@ -186,14 +267,14 @@ class RationalIntervalSet:
         that holds a rational, which leaves the output normalized.
         """
         pieces = []
-        cursor = GROUND_LOWER
-        for iv in self.intervals:
-            upper = _flip_down(iv.lower_cut)
-            if cursor <= upper:
+        cursor = _FLOOR
+        for piece in self.intervals:
+            upper = _flip_down(piece.lower)
+            if _le(cursor, upper):
                 pieces.append(_cut_interval(cursor, upper))
-            cursor = _flip_up(iv.upper_cut)
-        if cursor <= GROUND_UPPER:
-            pieces.append(_cut_interval(cursor, GROUND_UPPER))
+            cursor = _flip_up(piece.upper)
+        if _le(cursor, _CEIL):
+            pieces.append(_cut_interval(cursor, _CEIL))
         return RationalIntervalSet._trusted(tuple(pieces))
 
     def __sub__(self, other: "RationalIntervalSet") -> "RationalIntervalSet":
@@ -210,15 +291,53 @@ class RationalIntervalSet:
         theirs = other.intervals
         j = 0
         for piece in self.intervals:
-            lower, upper = piece.lower_cut, piece.upper_cut
-            while j < len(theirs) and theirs[j].upper_cut < lower:
+            lower = piece.lower
+            while j < len(theirs) and _lt(theirs[j].upper, lower):
                 j += 1
-            if j == len(theirs) or lower < theirs[j].lower_cut or theirs[j].upper_cut < upper:
+            if j == len(theirs) or _lt(lower, theirs[j].lower) or _lt(theirs[j].upper, piece.upper):
                 return False
         return True
 
     def proper_subset_of(self, other: "RationalIntervalSet") -> bool:
         return self <= other and self != other
+
+    def widened(self, below: Fraction | None, above: Fraction | None) -> "RationalIntervalSet":
+        """Union of the open intervals (lo - below, hi + above) over the pieces, clamped to (0, 1).
+
+        ``below`` and ``above`` are positive; None stretches every piece to
+        the ground's edge on that side, so that only the last piece (below
+        None) or the first (above None) decides the result.  Every piece is
+        shifted by the same amounts, so a normalized input gives pieces
+        whose lower and upper cuts both never decrease, and one merge pass
+        joins the neighbours that overlap; two open ends that meet leave the
+        shared point out and stay split.
+        """
+        pieces = self.intervals
+        if not pieces:
+            return self
+        if below is None:
+            pieces = pieces[-1:]
+        if above is None:
+            pieces = pieces[:1]
+        out: list[list[_Cut]] = []
+        for piece in pieces:
+            if below is None:
+                lower = _FLOOR
+            else:
+                n, d, _ = piece.lower
+                num, den = n * below.denominator - below.numerator * d, d * below.denominator
+                lower = _reduced(num, den, 1) if num > 0 else _FLOOR
+            if above is None:
+                upper = _CEIL
+            else:
+                n, d, _ = piece.upper
+                num, den = n * above.denominator + above.numerator * d, d * above.denominator
+                upper = _reduced(num, den, -1) if num < den else _CEIL
+            if out and _mergeable(out[-1][1], lower):
+                out[-1][1] = upper
+            else:
+                out.append([lower, upper])
+        return RationalIntervalSet._trusted(tuple(_cut_interval(lower, upper) for lower, upper in out))
 
     def pick_point(self) -> Fraction:
         """A canonical member: endpoint when closed, midpoint otherwise."""
@@ -267,20 +386,21 @@ class RationalIntervalSet:
 
 
 def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    clamped: list[tuple[Cut, Cut]] = []
-    for iv in intervals:
-        lower = max(iv.lower_cut, GROUND_LOWER)
-        upper = min(iv.upper_cut, GROUND_UPPER)
-        if lower <= upper:
-            clamped.append((lower, upper))
-    clamped.sort()
-    merged: list[tuple[Cut, Cut]] = []
+    clamped: list[list[_Cut]] = []
+    for piece in intervals:
+        lower = piece.lower if _le(_FLOOR, piece.lower) else _FLOOR
+        upper = piece.upper if _le(piece.upper, _CEIL) else _CEIL
+        if _le(lower, upper):
+            clamped.append([lower, upper])
+    # Pieces with equal lower cuts always merge, so sorting by lower cut alone suffices.
+    clamped.sort(key=lambda pair: _by_cut(pair[0]))
+    merged: list[list[_Cut]] = []
     for lower, upper in clamped:
         if merged and _mergeable(merged[-1][1], lower):
-            prev_lower, prev_upper = merged[-1]
-            merged[-1] = (prev_lower, max(prev_upper, upper))
+            if _lt(merged[-1][1], upper):
+                merged[-1][1] = upper
         else:
-            merged.append((lower, upper))
+            merged.append([lower, upper])
     return tuple(_cut_interval(lower, upper) for lower, upper in merged)
 
 
@@ -290,14 +410,65 @@ GROUND = RationalIntervalSet((Interval(Fraction(0), Fraction(1)),))
 
 def iv(lo, hi, lo_open: bool = True, hi_open: bool = True) -> RationalIntervalSet:
     """One-interval set; endpoints accept ints, strings, or Fractions."""
-    return RationalIntervalSet((Interval(Fraction(lo), Fraction(hi), lo_open, hi_open),))
+    return RationalIntervalSet((Interval(lo, hi, lo_open, hi_open),))
 
 
 def point(q) -> RationalIntervalSet:
-    q = Fraction(q)
+    q = _exact(q, "point")
     return RationalIntervalSet((Interval(q, q, lo_open=False, hi_open=False),))
 
 
 def rational_grid(count: int) -> tuple[Fraction, ...]:
     """Evenly spaced rationals i / (count + 1) strictly inside (0, 1)."""
     return tuple(Fraction(i, count + 1) for i in range(1, count + 1))
+
+
+def tagged_pieces(sets: Iterable[RationalIntervalSet]) -> tuple[tuple[Interval, int], ...]:
+    """Every piece of pairwise disjoint sets as (piece, position of its set), sorted.
+
+    Disjoint pieces sorted by lower cut are sorted by upper cut as well, which
+    `overlapping_tags` and `tags_of_sorted` rely on.
+    """
+    tagged = [(piece, n) for n, s in enumerate(sets) for piece in s.intervals]
+    tagged.sort(key=lambda item: _by_cut(item[0].lower))
+    return tuple(tagged)
+
+
+def overlapping_tags(
+    first: tuple[tuple[Interval, int], ...], second: tuple[tuple[Interval, int], ...]
+) -> list[tuple[int, int]]:
+    """Every tag pair (s, t) of overlapping pieces of two `tagged_pieces` lists, sorted.
+
+    A two-pointer sweep advances whichever piece ends first and meets only
+    pieces that overlap: linear in the number of pieces.
+    """
+    pairs = set()
+    i = j = 0
+    while i < len(first) and j < len(second):
+        (a, s), (b, t) = first[i], second[j]
+        lower = a.lower if _le(b.lower, a.lower) else b.lower
+        if _lt(a.upper, b.upper):
+            upper = a.upper
+            i += 1
+        else:
+            upper = b.upper
+            j += 1
+        if _le(lower, upper):
+            pairs.add((s, t))
+    return sorted(pairs)
+
+
+def tags_of_sorted(tagged: tuple[tuple[Interval, int], ...], points: Iterable[Fraction]) -> list[int | None]:
+    """The tag of the piece holding each point of an ascending sequence, or None.
+
+    One forward pointer over the sorted, disjoint `tagged_pieces` list
+    locates every point.
+    """
+    out: list[int | None] = []
+    p = 0
+    for x in points:
+        cut = (x.numerator, x.denominator, 0)
+        while p < len(tagged) and _lt(tagged[p][0].upper, cut):
+            p += 1
+        out.append(tagged[p][1] if p < len(tagged) and _le(tagged[p][0].lower, cut) else None)
+    return out

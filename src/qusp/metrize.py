@@ -36,16 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .relcore import GroundSet, NormalSequence, Relation, compose
-from .serialize import frac_str, parse_frac
+from .serialize import _exact, frac_str, parse_frac
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _exact(value, what: str) -> Fraction:
-    """``value`` as a Fraction; a float is refused instead of expanded."""
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be an exact rational, not the float {value!r}")
-    return value if type(value) is Fraction else Fraction(value)
 
 
 def _common_units(matrix) -> tuple[int, list[list[int]]]:

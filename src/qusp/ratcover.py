@@ -34,14 +34,16 @@ from itertools import accumulate
 from .intervals import (
     GROUND,
     GROUND_LOWER,
-    Cut,
     Interval,
     RationalIntervalSet,
     iv,
+    overlapping_tags,
     point,
     rational_grid,
+    tagged_pieces,
+    tags_of_sorted,
 )
-from .serialize import frac_str
+from .serialize import _exact, frac_str
 
 DEFAULT_TRUNCATION_DEPTH = 64
 DEFAULT_GRID = 1 << 10
@@ -85,19 +87,20 @@ class MetricOracle:
         return self
 
     def image(self, eps: Fraction, a: RationalIntervalSet) -> RationalIntervalSet:
-        """Exact {y : some x in a has q(x, y) < eps}, clamped to the ground."""
+        """Exact {y : some x in a has q(x, y) < eps}, clamped to the ground.
+
+        Each piece [lo, hi] of a, open or closed, maps to the open interval
+        (lo - eps, hi + eps) under euclid, (0, hi + eps) under upper and
+        (lo - eps, 1) under lower.
+        """
+        eps = _exact(eps, "entourage scale")
         if eps <= 0:
             raise ValueError("entourage scale must be positive")
-        pieces = []
-        for piece in a.intervals:
-            if self.kind == "euclid":
-                lo, hi = piece.lo - eps, piece.hi + eps
-            elif self.kind == "upper":
-                lo, hi = Fraction(0), piece.hi + eps
-            else:
-                lo, hi = piece.lo - eps, Fraction(1)
-            pieces.append(Interval(max(lo, Fraction(0)), min(hi, Fraction(1))))
-        return RationalIntervalSet(tuple(pieces))
+        if self.kind == "euclid":
+            return a.widened(eps, eps)
+        if self.kind == "upper":
+            return a.widened(None, eps)
+        return a.widened(eps, None)
 
     def inv_image(self, eps: Fraction, a: RationalIntervalSet) -> RationalIntervalSet:
         """Exact {x : some y in a has q(x, y) < eps}."""
@@ -110,6 +113,7 @@ class MetricOracle:
 
     def small_violation(self, a: RationalIntervalSet, eps: Fraction) -> tuple[Fraction, Fraction] | None:
         """An exact member pair at distance >= eps, or None when a is small."""
+        eps = _exact(eps, "smallness scale")
         if a.is_empty or len(a.intervals) == 1 and a.intervals[0].lo == a.intervals[0].hi:
             return None
         lo_cut = a.inf_cut
@@ -158,7 +162,7 @@ class OmegaCover:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "base_scales", tuple(Fraction(s) for s in self.base_scales))
+        object.__setattr__(self, "base_scales", tuple(_exact(s, "ladder scale") for s in self.base_scales))
         if len(self.sets) < 2:
             raise CoverError("a cover needs at least two materialized sets")
         if len(self.base_scales) != len(self.sets):
@@ -223,32 +227,23 @@ class OmegaCover:
         return self.strata[n]
 
     @cached_property
-    def stratum_index(self) -> tuple[tuple[Cut, Cut, int], ...]:
-        """Every stratum interval as (lower cut, upper cut, n), sorted.
+    def stratum_index(self) -> tuple[tuple[Interval, int], ...]:
+        """Every stratum interval as (piece, n), sorted (`tagged_pieces`).
 
         With nested sets the strata are pairwise disjoint, so this list,
         sorted by lower cut, is sorted by upper cut too.
         """
-        return tuple(
-            sorted((piece.lower_cut, piece.upper_cut, n) for n, s in enumerate(self.strata) for piece in s.intervals)
-        )
+        return tagged_pieces(self.strata)
 
     def min_indices_of_sorted(self, points: tuple[Fraction, ...]) -> list[int | None]:
         """``min_index_of`` for each point of an ascending sequence, in one sweep.
 
         A point lies in stratum n exactly when ``sets[n]`` is the first set
         containing it, so one forward pointer over the sorted, disjoint
-        stratum intervals locates every point.  Needs nested sets.
+        stratum intervals locates every point (`tags_of_sorted`).  Needs
+        nested sets.
         """
-        index = self.stratum_index
-        out: list[int | None] = []
-        p = 0
-        for x in points:
-            cut = (x, 0)
-            while p < len(index) and index[p][1] < cut:
-                p += 1
-            out.append(index[p][2] if p < len(index) and index[p][0] <= cut else None)
-        return out
+        return tags_of_sorted(self.stratum_index, points)
 
     def to_json(self) -> dict:
         return {
@@ -303,13 +298,13 @@ def chain_cover_from_sequence(oracle, sets_fn, witness_scales_fn, depth: int = D
     if depth < 1:
         raise CoverError("truncation depth must be at least 1")
     sets = tuple(sets_fn(n) for n in range(depth + 1))
-    witness = (Fraction(witness_scales_fn(n)) for n in range(depth + 1))
+    witness = (_exact(witness_scales_fn(n), "witness scale") for n in range(depth + 1))
     return OmegaCover(oracle, sets, tuple(accumulate(witness, min)))
 
 
 def cover_successor_of_point(c: OmegaCover, x: Fraction) -> RationalIntervalSet:
     """Successor of the smallest cover element containing x (the layer's relation)."""
-    x = Fraction(x)
+    x = _exact(x, "point")
     if not 0 < x < 1:
         raise CoverError(f"point {frac_str(x)} lies outside the ground (0, 1)")
     n = c.min_index_of(x)
@@ -346,7 +341,7 @@ def connectivity_certificate(oracle: MetricOracle, eps: Fraction, probes: list[R
     return {
         "kind": "uniform_connectivity",
         "rule": "frontier expansion on the interval subclass",
-        "scale": frac_str(Fraction(eps)),
+        "scale": frac_str(_exact(eps, "connectivity scale")),
         "probes_checked": len(probes),
         "fixed_set": None if fixed is None else fixed.to_json(),
         "passed": fixed is None,
@@ -383,24 +378,12 @@ def _meeting_strata(fine: OmegaCover, coarse: OmegaCover) -> list[tuple[int, int
 
     Relies on the strata of one cover being pairwise disjoint (nested sets),
     so each cover's `OmegaCover.stratum_index` is sorted by upper cut as well
-    as by lower cut.  A two-pointer sweep then advances whichever interval
-    ends first and meets only intervals that overlap: linear in the number
-    of stratum intervals, where the all-pairs scan intersected every fine
-    stratum with every coarse one.
+    as by lower cut.  A two-pointer sweep (`overlapping_tags`) then meets
+    only intervals that overlap: linear in the number of stratum intervals,
+    where the all-pairs scan intersected every fine stratum with every
+    coarse one.
     """
-    fine_ivs, coarse_ivs = fine.stratum_index, coarse.stratum_index
-    pairs = set()
-    i = j = 0
-    while i < len(fine_ivs) and j < len(coarse_ivs):
-        f_lower, f_upper, k = fine_ivs[i]
-        c_lower, c_upper, n = coarse_ivs[j]
-        if max(f_lower, c_lower) <= min(f_upper, c_upper):
-            pairs.add((k, n))
-        if f_upper < c_upper:
-            i += 1
-        else:
-            j += 1
-    return sorted(pairs)
+    return overlapping_tags(fine.stratum_index, coarse.stratum_index)
 
 
 def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_size: int) -> dict:
@@ -579,7 +562,7 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet, 
     """
     if a.is_empty:
         raise ValueError("probe subset must be nonempty")
-    v = Fraction(v_scale)
+    v = _exact(v_scale, "entourage scale")
     if v <= 0:
         raise ValueError("entourage scale must be positive")
     delta = v / 2
@@ -683,7 +666,7 @@ def cert_boundedhaus(c: OmegaCover, u_scale: Fraction) -> dict:
     finitely many small pieces.  Every piece is re-verified small and the
     pieces are re-verified to reunite to the complement.
     """
-    eps = Fraction(u_scale)
+    eps = _exact(u_scale, "entourage scale")
     if eps <= 0:
         raise ValueError("entourage scale must be positive")
     for n in range(c.truncation_depth + 1):
@@ -723,7 +706,7 @@ def cert_not_entourage(c: OmegaCover, probe_scales: list[Fraction]) -> dict:
     witnesses = []
     ok = True
     for eps_raw in probe_scales:
-        eps = Fraction(eps_raw)
+        eps = _exact(eps_raw, "probe scale")
         if eps <= 0:
             raise ValueError("probe scales must be positive")
         found = None
@@ -770,7 +753,7 @@ def refined_base(
     Construction aborts on the first failing certificate, quoting its
     witness.
     """
-    scales = [Fraction(s) for s in background_scales]
+    scales = [_exact(s, "background scale") for s in background_scales]
     if not scales:
         raise ValueError("need at least one background scale")
     if not seq.certificate["passed"]:
@@ -819,7 +802,7 @@ def dense_scenario(
     the whole ground, a connectivity check, and small decompositions of the
     complements at any requested scales.
     """
-    eps = Fraction(eps)
+    eps = _exact(eps, "radius")
     if eps >= 1:
         raise ValueError("radius covers the whole ground: need eps < 1")
     if eps <= 0:

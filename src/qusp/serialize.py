@@ -14,6 +14,18 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction; a float is refused instead of expanded.
+
+    Every module converts caller-supplied rationals through this, so a float
+    never turns silently into a 2**-k-denominator rational.  Ints, strings
+    and Fractions are accepted.
+    """
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be an exact rational, not the float {value!r}")
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def parse_frac(text: str) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise ValueError(f"malformed rational {text!r}, expected 'p/q' or 'p'")

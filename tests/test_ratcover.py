@@ -27,7 +27,7 @@ from qusp.ratcover import (
     uniformly_isolated_witness,
 )
 from qusp.ratcover import _double_successor_containments, _meeting_strata
-from qusp.serialize import parse_frac
+from qusp.serialize import frac_str, parse_frac
 
 PROBE_POINTS = [F(i, 101) for i in range(1, 101)]
 
@@ -329,6 +329,76 @@ def all_pairs_meeting(fine, coarse):
     ]
 
 
+# Fraction references for the integer-cut code.  They work on lists of
+# public (Fraction, tweak) cut pairs, read off a set once through
+# ``frac_cuts``, and never call a set operation or constructor under test.
+
+FLOOR, CEIL = (F(0), 1), (F(1), -1)
+
+
+def frac_cuts(s):
+    return [(p.lower_cut, p.upper_cut) for p in s.intervals]
+
+
+def frac_normalize(pairs):
+    """Clamp to the ground, drop empty pairs, sort, merge what no rational separates."""
+    clamped = sorted((max(lo, FLOOR), min(hi, CEIL)) for lo, hi in pairs if max(lo, FLOOR) <= min(hi, CEIL))
+    merged = []
+    for lo, hi in clamped:
+        if merged:
+            last = merged[-1][1]
+            if lo <= last or lo[0] == last[0] and (last[1], lo[1]) in {(-1, 0), (0, 1)}:
+                merged[-1] = (merged[-1][0], max(last, hi))
+                continue
+        merged.append((lo, hi))
+    return merged
+
+
+def frac_and(a, b):
+    return frac_normalize([(max(x[0], y[0]), min(x[1], y[1])) for x in a for y in b])
+
+
+def frac_complement(a):
+    """Intersect the two sides of every piece, one piece at a time."""
+    out = [(FLOOR, CEIL)]
+    for (lo, lo_tweak), (hi, hi_tweak) in a:
+        sides = [(FLOOR, (lo, lo_tweak - 1)), ((hi, hi_tweak + 1), CEIL)]
+        out = frac_and(out, frac_normalize(sides))
+    return out
+
+
+def frac_le(a, b):
+    """Each piece of a inside one piece of b (b normalized)."""
+    return all(any(y[0] <= x[0] and x[1] <= y[1] for y in b) for x in a)
+
+
+def frac_contains(a, q):
+    return any(lo <= (q, 0) <= hi for lo, hi in a)
+
+
+def frac_image(kind, eps, a):
+    """The open (lo - eps, hi + eps), (0, hi + eps) or (lo - eps, 1) of each piece."""
+    pieces = []
+    for (lo, _), (hi, _) in a:
+        low = F(0) if kind == "upper" else max(lo - eps, F(0))
+        high = F(1) if kind == "lower" else min(hi + eps, F(1))
+        pieces.append(((low, 1), (high, -1)))
+    return frac_normalize(pieces)
+
+
+def frac_json(pairs):
+    """What ``to_json`` of the set with these cut pairs must print."""
+    return [
+        {"lo": frac_str(lo), "hi": frac_str(hi), "lo_open": lo_tweak == 1, "hi_open": hi_tweak == -1}
+        for (lo, lo_tweak), (hi, hi_tweak) in pairs
+    ]
+
+
+def frac_strata(cover):
+    sets = [frac_cuts(s) for s in cover.sets]
+    return [sets[0]] + [frac_and(sets[n], frac_complement(sets[n - 1])) for n in range(1, len(sets))]
+
+
 def linear_first(cover, holds):
     return next((n for n, s in enumerate(cover.sets) if holds(s)), None)
 
@@ -490,11 +560,11 @@ class TestFastPathsAgainstReferences:
     def test_cached_strata_and_index(self, cover, starred):
         if starred:
             cover = star_cover(cover)
-        strata = reference_strata(cover)
-        assert [s.intervals for s in cover.strata] == [s.intervals for s in strata]
+        strata = frac_strata(cover)
+        assert [frac_cuts(s) for s in cover.strata] == strata
         assert all(cover.stratum(n) is cover.strata[n] for n in range(len(strata)))
-        tagged = sorted((p.lower_cut, p.upper_cut, n) for n, s in enumerate(strata) for p in s.intervals)
-        assert cover.stratum_index == tuple(tagged)
+        tagged = sorted((lo, hi, n) for n, s in enumerate(strata) for lo, hi in s)
+        assert [(p.lower_cut, p.upper_cut, n) for p, n in cover.stratum_index] == tagged
 
     @given(nested_covers(), st.booleans(), st.integers(16, 200))
     @settings(max_examples=100, deadline=None)
@@ -504,6 +574,141 @@ class TestFastPathsAgainstReferences:
         # Every multiple of 1/384 includes every endpoint the covers can have.
         for grid in (rational_grid(grid_size), tuple(F(i, 4 * DEN) for i in range(1, 4 * DEN))):
             assert cover.min_indices_of_sorted(grid) == [linear_first(cover, lambda s: x in s) for x in grid]
+
+
+# Non-dyadic scales next to grid steps of 1/96, so images often end exactly
+# where a piece of another set begins.
+SCALES = st.sampled_from([F(1, 3), F(5, 7), F(2, 5), F(1, 96), F(1, 48), F(7, 96), F(1, 2)])
+ORACLES = st.sampled_from([EUCLID, UPPER, LOWER])
+
+
+@st.composite
+def raw_pieces(draw):
+    """One validated interval, endpoints from a narrow band or the ground's ends."""
+    ends = st.sampled_from([0, DEN, *range(DEN // 2 - 4, DEN // 2 + 5)])
+    a, b = sorted((draw(ends), draw(ends)))
+    return Interval(F(a, DEN), F(b, DEN), draw(st.booleans()), draw(st.booleans()))
+
+
+def probe_points(*sets):
+    """Grid points, non-dyadic points and every endpoint of the given sets."""
+    points = {F(i, 4 * DEN) for i in range(4 * DEN + 1)} | {F(1, 3), F(5, 7), F(2, 5), F(1, 7)}
+    for s in sets:
+        for p in s.intervals:
+            points |= {p.lo, p.hi}
+    return sorted(points)
+
+
+class TestIntegerCutsAgainstFractions:
+    """Every integer-cut operation against the `Fraction` references above."""
+
+    @given(st.lists(raw_pieces(), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_normalize(self, raw):
+        want = frac_normalize([(p.lower_cut, p.upper_cut) for p in raw])
+        assert frac_cuts(RationalIntervalSet(tuple(raw))) == want
+
+    @given(interval_sets, interval_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_set_algebra(self, a, b):
+        cuts_a, cuts_b = frac_cuts(a), frac_cuts(b)
+        assert frac_cuts(a & b) == frac_and(cuts_a, cuts_b)
+        assert frac_cuts(a.complement()) == frac_complement(cuts_a)
+        assert frac_cuts(a - b) == frac_and(cuts_a, frac_complement(cuts_b))
+        for sub in (a, a & b, b - a):
+            assert (sub <= b) == frac_le(frac_cuts(sub), cuts_b)
+            assert (b <= sub) == frac_le(cuts_b, frac_cuts(sub))
+
+    @given(interval_sets)
+    @settings(max_examples=100, deadline=None)
+    def test_membership(self, a):
+        cuts = frac_cuts(a)
+        for q in probe_points(a):
+            assert (q in a) == frac_contains(cuts, q), q
+
+    @given(ORACLES, SCALES, interval_sets)
+    @example(EUCLID, F(1, 96), iv(F(40, 96), F(45, 96)) | iv(F(47, 96), F(1, 2), lo_open=False))
+    @settings(max_examples=300, deadline=None)
+    def test_image(self, oracle, eps, a):
+        img = oracle.image(eps, a)
+        want = frac_image(oracle.kind, eps, frac_cuts(a))
+        assert frac_cuts(img) == want
+        assert img.to_json()["intervals"] == frac_json(want)
+        assert frac_cuts(oracle.inv_image(eps, a)) == frac_image(oracle.conjugate().kind, eps, frac_cuts(a))
+
+    @given(ORACLES, SCALES, SCALES, interval_sets, interval_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_image_monotone_in_scale_and_set(self, oracle, s, t, a, b):
+        small, large = sorted((s, t))
+        assert frac_le(frac_cuts(oracle.image(small, a)), frac_cuts(oracle.image(large, a)))
+        assert frac_le(frac_cuts(oracle.image(s, a & b)), frac_cuts(oracle.image(s, a)))
+        assert frac_le(frac_cuts(oracle.image(s, a)), frac_cuts(oracle.image(s, a | b)))
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(5, 7)])
+    def test_dense_witness_index(self, eps):
+        cover, _ = dense_scenario(eps, depth=12)
+        for c in (cover, star_cover(cover), star_cover(star_cover(cover))):
+            tagged = sorted((lo, hi, n) for n, s in enumerate(frac_strata(c)) for lo, hi in s)
+            assert [(p.lower_cut, p.upper_cut, n) for p, n in c.stratum_index] == tagged
+            grid = tuple(probe_points(*c.sets)[1:-1])
+            assert c.min_indices_of_sorted(grid) == [
+                next((n for n, s in enumerate(c.sets) if frac_contains(frac_cuts(s), x)), None) for x in grid
+            ]
+
+
+class TestFloatsRejected:
+    """A float is refused at every conversion into the interval and cover layer."""
+
+    def test_interval_endpoints(self):
+        with pytest.raises(TypeError, match="0.1"):
+            Interval(0.1, F(1, 2))
+        with pytest.raises(TypeError, match="0.5"):
+            iv(F(1, 10), 0.5)
+
+    def test_point(self):
+        with pytest.raises(TypeError, match="0.25"):
+            point(0.25)
+
+    def test_membership(self):
+        with pytest.raises(TypeError, match="0.3"):
+            0.3 in iv(F(1, 4), F(1, 2))
+
+    def test_oracle_scales(self):
+        s = iv(F(1, 4), F(1, 2))
+        with pytest.raises(TypeError, match="0.1"):
+            EUCLID.image(0.1, s)
+        with pytest.raises(TypeError, match="0.1"):
+            UPPER.inv_image(0.1, s)
+        with pytest.raises(TypeError, match="0.1"):
+            LOWER.is_small(s, 0.1)
+
+    def test_cover_base_scales(self):
+        with pytest.raises(TypeError, match="0.125"):
+            OmegaCover(EUCLID, (iv(F(1, 2), 1), iv(F(1, 4), 1)), (0.125, F(1, 8)))
+
+    def test_chain_witnesses(self):
+        with pytest.raises(TypeError, match="0.01"):
+            chain_cover_from_sequence(EUCLID, lambda n: iv(F(1, 2 + n), 1), lambda n: 0.01, depth=2)
+
+    def test_certificate_scales(self):
+        cover = flagship(depth=8)
+        probe = iv(F(1, 4), F(1, 2))
+        with pytest.raises(TypeError, match="0.5"):
+            cert_monotonehaus(cover, 0.5, probe)
+        with pytest.raises(TypeError, match="0.5"):
+            cert_boundedhaus(cover, 0.5)
+        with pytest.raises(TypeError, match="0.5"):
+            cert_not_entourage(cover, [0.5])
+        with pytest.raises(TypeError, match="0.5"):
+            connectivity_certificate(EUCLID, 0.5, [probe])
+        with pytest.raises(TypeError, match="0.5"):
+            refined_base(cover_normal_sequence(cover, 0, grid_size=16), [0.5], [probe])
+
+    def test_points_and_radius(self):
+        with pytest.raises(TypeError, match="0.3"):
+            cover_successor_of_point(flagship(depth=8), 0.3)
+        with pytest.raises(TypeError, match="0.5"):
+            dense_scenario(0.5, depth=4)
 
 
 class TestMonotoneCoverCert:
