@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -203,6 +206,17 @@ class TestMisc:
         assert a.inf_cut == (F(1, 4), 0)
         assert a.sup_cut == (F(3, 4), -1)
         assert EMPTY.inf_cut is None
+
+    def test_interval_is_immutable_and_copies(self):
+        piece = Interval(F(1, 3), F(5, 7), lo_open=False)
+        with pytest.raises(FrozenInstanceError):
+            piece.lower = (0, 1, 1)
+        with pytest.raises(FrozenInstanceError):
+            del piece.upper
+        s = RationalIntervalSet.of(piece) | point(F(6, 7))
+        for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and hash(twin) == hash(s) and str(twin) == str(s)
+        assert repr(piece) == "Interval(lo=Fraction(1, 3), hi=Fraction(5, 7), lo_open=False, hi_open=True)"
 
 
 @st.composite
