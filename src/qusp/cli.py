@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -54,14 +55,15 @@ class InputProblem(Exception):
     """Anything wrong with the scenario itself, as opposed to its mathematics."""
 
 
-def _schema() -> dict:
+@cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The scenario schema validator, built on first use and shared after."""
     text = resources.files("qusp.schemas").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def validate_scenario(scenario: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(scenario), key=lambda e: e.json_path)
+    errors = sorted(_validator().iter_errors(scenario), key=lambda e: e.json_path)
     if errors:
         lines = [f"{e.json_path}: {e.message}" for e in errors]
         raise InputProblem("scenario schema violation\n" + "\n".join(lines))

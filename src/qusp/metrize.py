@@ -26,6 +26,23 @@ sandwich on valid inputs.
 
 Any normal sequence satisfies the quadruple condition after taking every
 second level; `every_second_level` is that transformer.
+
+Each ladder invariant is checked once.  A ladder built with
+`NormalSequence(...)` is validated in full (reflexive levels, each level
+squared inside the one above), and `kelley_metric` checks the quadruple
+condition on it.  Two ladders skip checks that hold by construction:
+
+- `random_normal_sequence` builds each level as the square of the one below
+  plus reflexive extras, so its levels are reflexive and normal without a
+  re-check;
+- `every_second_level` keeps levels of an already normal ladder, and for
+  reflexive levels V_{2k+2}^2 sits in V_{2k+1}, which sits in V_{2k+1}^2 and
+  so in V_{2k}; squaring once more gives V_{2k+2}^4 inside V_{2k+1}^2 inside
+  V_{2k}.  Its result skips the normality check and records the quadruple
+  condition, which `kelley_metric` then skips too.
+
+The metric axioms are still checked on every `FiniteQuasiPseudometric`, and
+`weight_function` still checks whether the deepest level is transitive.
 """
 
 from __future__ import annotations
@@ -105,8 +122,14 @@ class WeightFunction:
 
 
 def every_second_level(seq: NormalSequence) -> NormalSequence:
-    """Keep levels 0, 2, 4, ...; the result satisfies the quadruple condition."""
-    return NormalSequence(seq.ground, seq.levels[::2])
+    """Keep levels 0, 2, 4, ...; the result satisfies the quadruple condition.
+
+    Neither the normality of the result nor its quadruple condition is
+    re-checked: both follow from the normality of ``seq`` (see the module
+    docstring).  The result records the quadruple condition, so
+    `kelley_metric` does not check it again.
+    """
+    return NormalSequence._trusted(seq.ground, seq.levels[::2], quadruple=True)
 
 
 def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> WeightFunction:
@@ -149,16 +172,19 @@ def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPs
     """Chain-infimum quasi-pseudometric of a ladder with the quadruple condition.
 
     Requires level[k+1]^4 inside level[k] for each k (use
-    `every_second_level` on a plain normal sequence first).  The distance is
+    `every_second_level` on a plain normal sequence first).  The condition
+    is checked here, except on a ladder from `every_second_level`, which
+    meets it by construction and records that it does.  The distance is
     the exact all-pairs shortest path over `weight_function` weights, run on
     integer multiples of 1/D for D the lcm of the weight denominators (which
     covers a non-dyadic cap); the triangle inequality holds by construction
     and the dyadic sandwich holds for every representable level.
     """
-    for k in range(seq.depth - 1):
-        sq = compose(seq.levels[k + 1], seq.levels[k + 1])
-        if not compose(sq, sq) <= seq.levels[k]:
-            raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
+    if not seq._quadruple:
+        for k in range(seq.depth - 1):
+            sq = compose(seq.levels[k + 1], seq.levels[k + 1])
+            if not compose(sq, sq) <= seq.levels[k]:
+                raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
     w = weight_function(seq, cap)
     scale, dist = _common_units(w.weight)
     for mid, row_mid in enumerate(dist):
@@ -194,9 +220,9 @@ def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
     Decided on the metric's integer units: units / D < p / r exactly when
     units * r < p * D.
     """
+    eps = _exact(eps, "threshold")
     if eps <= 0:
         raise ValueError("threshold must be positive")
-    eps = Fraction(eps)
     den = eps.denominator
     bound = eps.numerator * q._scale
     return Relation(
@@ -208,7 +234,11 @@ def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
 def random_normal_sequence(
     seed: int, n: int, depth: int, identity_bottom: bool = False
 ) -> NormalSequence:
-    """Seeded random valid ladder, built bottom-up by squaring plus extras."""
+    """Seeded random valid ladder, built bottom-up by squaring plus extras.
+
+    Each level contains the square of the one below and the diagonal, so
+    the ladder is normal by construction and is not re-checked.
+    """
     if n < 1 or depth < 1:
         raise ValueError("need a positive ground size and depth")
     rng = random.Random(seed)
@@ -229,4 +259,4 @@ def random_normal_sequence(
     for _ in range(depth - 1):
         current = compose(current, current) | sprinkle(0.08)
         levels.append(current)
-    return NormalSequence(g, tuple(reversed(levels)))
+    return NormalSequence._trusted(g, tuple(reversed(levels)))

@@ -13,7 +13,7 @@ translated to this argument order at the call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -191,10 +191,32 @@ def is_preorder(r: Relation) -> bool:
 
 @dataclass(frozen=True)
 class NormalSequence:
-    """Levels of reflexive relations where each level squared sits in the one above."""
+    """Levels of reflexive relations where each level squared sits in the one above.
+
+    ``_quadruple`` records that each level to the fourth power sits in the
+    one above as well.  Only `_trusted` sets it; it takes no part in
+    equality, hashing or repr.
+    """
 
     ground: GroundSet
     levels: tuple[Relation, ...]
+    _quadruple: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _trusted(
+        cls, g: GroundSet, levels: tuple[Relation, ...], quadruple: bool = False
+    ) -> "NormalSequence":
+        """Wrap levels that are normal by construction, skipping validation.
+
+        For ladders built in the package whose reflexivity and normality
+        follow from how they were made; every other way of building a
+        sequence is checked in full.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "ground", g)
+        object.__setattr__(out, "levels", levels)
+        object.__setattr__(out, "_quadruple", quadruple)
+        return out
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))

@@ -11,6 +11,7 @@ from qusp.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_PASS,
+    InputProblem,
     canonical_report_bytes,
     export_topology,
     main,
@@ -101,6 +102,41 @@ class TestRunScenario:
         assert report["tool"]["name"] == "qusp"
         assert len(report["input_digest"]) == 64
         assert "timing_s" in report
+
+
+class TestCachedValidator:
+    BAD = {"scenario": "kelley_demo", "seed": 0, "n": 0, "depth": 99}
+    GOOD = {"scenario": "kelley_demo", "seed": 0, "n": 3, "depth": 2}
+
+    def schema_error(self, scenario):
+        with pytest.raises(InputProblem) as err:
+            qusp.cli.validate_scenario(scenario)
+        return str(err.value)
+
+    def test_bad_after_good_keeps_the_field_path_message(self):
+        qusp.cli._validator.cache_clear()
+        cold = self.schema_error(self.BAD)
+        assert run_scenario(self.GOOD)[0] == EXIT_PASS
+        assert self.schema_error(self.BAD) == cold == (
+            "scenario schema violation\n"
+            "$.depth: 99 is greater than the maximum of 12\n"
+            "$.n: 0 is less than the minimum of 1"
+        )
+
+    def test_validator_built_once(self, monkeypatch):
+        built = []
+        real = jsonschema.Draft202012Validator
+
+        def counting(schema):
+            built.append(schema)
+            return real(schema)
+
+        qusp.cli._validator.cache_clear()
+        monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
+        qusp.cli.validate_scenario(self.GOOD)
+        self.schema_error(self.BAD)
+        assert len(built) == 1
+        assert qusp.cli._validator() is qusp.cli._validator()
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,65 @@ class TestEverySecondLevel:
                 assert compose(sq, sq) <= sub.levels[k]
 
 
+# References for the trusted ladders: the checks that `NormalSequence` and
+# `kelley_metric` skip on ladders built by `random_normal_sequence` and
+# `every_second_level`.
+
+
+def reference_is_normal(seq):
+    return all(lvl.ground == seq.ground and lvl.is_reflexive() for lvl in seq.levels) and all(
+        compose(seq.levels[k + 1], seq.levels[k + 1]) <= seq.levels[k] for k in range(seq.depth - 1)
+    )
+
+
+def reference_meets_quadruple(seq):
+    fourth = [compose(compose(lvl, lvl), compose(lvl, lvl)) for lvl in seq.levels]
+    return all(fourth[k + 1] <= seq.levels[k] for k in range(seq.depth - 1))
+
+
+class TestTrustedLadders:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 8),
+        depth=st.integers(1, 12),
+        identity_bottom=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trusted_ladders_pass_the_full_checks(self, seed, n, depth, identity_bottom):
+        ladder = random_normal_sequence(seed, n, depth, identity_bottom)
+        sub = every_second_level(ladder)
+        for seq in (ladder, sub):
+            assert reference_is_normal(seq)
+            NormalSequence(seq.ground, seq.levels)  # the constructor's own checks
+        assert reference_meets_quadruple(sub)
+        assert sub._quadruple and not ladder._quadruple
+        checked = NormalSequence(sub.ground, sub.levels)
+        assert not checked._quadruple
+        assert kelley_metric(sub) == kelley_metric(checked)
+
+    def test_subsampling_equals_the_checked_construction(self):
+        for seed in range(20):
+            ladder = random_normal_sequence(seed, 2 + seed % 7, 1 + seed % 12, seed % 2 == 0)
+            sub = every_second_level(ladder)
+            checked = NormalSequence(ladder.ground, ladder.levels[::2])
+            assert sub == checked
+            assert hash(sub) == hash(checked)
+            assert repr(sub) == repr(checked)
+
+    def test_hand_built_ladders_carry_no_record(self):
+        g = ground("a", "b", "c", "d", "e")
+        chain = Relation.from_pairs(
+            g, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], reflexive=True
+        )
+        top = compose(chain, chain) | chain  # contains squares but not fourth powers
+        trusted = every_second_level(NormalSequence(g, (Relation.full(g), chain)))
+        assert trusted._quadruple
+        rebuilt = dataclasses.replace(trusted, levels=(top, chain))
+        assert not rebuilt._quadruple
+        with pytest.raises(ValueError, match="quadruple condition violated"):
+            kelley_metric(rebuilt)
+
+
 # References for the integer fast paths: the Fraction loops that
 # `kelley_metric` and `FiniteQuasiPseudometric` ran before they moved to
 # integer multiples of a common unit.
@@ -322,3 +382,9 @@ class TestFloatsRejected:
     def test_kelley_metric_cap(self):
         with pytest.raises(TypeError, match="0.25"):
             kelley_metric(two_point_ladder(), 0.25)
+
+    def test_entourage_threshold(self):
+        q = kelley_metric(two_point_ladder())
+        for eps in (0.75, -0.5, float("inf")):
+            with pytest.raises(TypeError, match="threshold"):
+                entourage_at(q, eps)

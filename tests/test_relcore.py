@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qusp.metrize import random_normal_sequence
 from qusp.relcore import (
     GroundSet,
     NormalSequence,
@@ -170,6 +174,42 @@ class TestNormalSequence:
         bare = Relation.from_pairs(G3, [("a", "b")])
         with pytest.raises(ValueError, match="not reflexive"):
             NormalSequence(G3, (bare,))
+
+    def test_trusted_record_stays_out_of_equality_hash_and_repr(self):
+        wide = compose(rel3([("a", "b"), ("b", "c")]), rel3([("a", "b"), ("b", "c")]))
+        levels = (FULL3, wide, DELTA3)
+        trusted = NormalSequence._trusted(G3, levels, quadruple=True)
+        checked = NormalSequence(G3, levels)
+        assert trusted._quadruple and not checked._quadruple
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked) and "_quadruple" not in repr(trusted)
+        for twin in (copy.copy(trusted), copy.deepcopy(trusted), pickle.loads(pickle.dumps(trusted))):
+            assert twin == trusted and twin._quadruple
+
+    def test_record_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            NormalSequence(G3, (DELTA3,), _quadruple=True)
+
+    def test_perturbed_trusted_levels_still_raise(self):
+        # Drop from level k one off-diagonal pair of level k + 1: level k + 1
+        # squared then escapes level k, and rebuilding by hand must notice.
+        perturbed = 0
+        for seed in range(20):
+            ladder = random_normal_sequence(seed, 6, 5)
+            for k in range(ladder.depth - 1):
+                pair = next(((i, j) for i, j in ladder.levels[k + 1].pairs() if i != j), None)
+                if pair is None:
+                    continue
+                i, j = pair
+                level = ladder.levels[k]
+                rows = list(level.rows)
+                rows[i] &= ~(1 << j)
+                levels = list(ladder.levels)
+                levels[k] = Relation(level.ground, tuple(rows))
+                with pytest.raises(ValueError, match=f"level {k + 1} squared escapes level {k}"):
+                    NormalSequence(ladder.ground, tuple(levels))
+                perturbed += 1
+        assert perturbed > 20
 
     @given(relations(reflexive=True))
     def test_image_contraction(self, bottom):
