@@ -88,14 +88,18 @@ def canonical_report_bytes(report: dict) -> bytes:
 def export_topology(q: FiniteQuasiUniformity, name: str = "specialization") -> str:
     """DOT digraph of the specialization preorder, transitively reduced.
 
-    Mutually related points form one node labeled with their joined labels
-    (the cycle-free rendering of an equivalence cluster); edges are the
-    covering pairs of the induced order on clusters.  Node order follows
-    the smallest member index, so output is deterministic.
+    Mutually related points form one node labeled with their labels joined
+    by ``=`` (the cycle-free rendering of an equivalence cluster), so a label
+    containing ``=`` is refused: it would read as a cluster.  Edges are the
+    covering pairs of the induced order on clusters.  Node order follows the
+    smallest member index, so output is deterministic.
     """
     n = q.ground.size
     if n > MAX_DOT_GROUND:
         raise InputProblem(f"topology export capped at ground size {MAX_DOT_GROUND}")
+    for label in q.ground.labels:
+        if "=" in label:
+            raise InputProblem(f"topology export cannot show label {label!r}: '=' joins the labels of a cluster")
     rel = q.min_entourage
     inv = inverse(rel)
     seen = 0
@@ -234,8 +238,8 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
     base: list = []
     try:
         refined = refined_base(tower.prefix(refine_depth), scales, probe_sets)
-        certificates.append(refined.certificate)
-        base = refined.certificate["base"]
+        certificates.append(refined)
+        base = refined["base"]
     except CoverError as exc:
         refine_failure = str(exc)
     not_ent = cert_not_entourage(cover, probe_scales)
@@ -266,26 +270,33 @@ _RUNNERS = {
     "singular_scan": _run_singular_scan,
     "kelley_demo": _run_kelley,
     "dense_witness": _run_dense,
-    "dense": _run_dense,
 }
 
 
+def _json_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def run_scenario(scenario: dict, fmt: str = "json") -> tuple[int, str, dict]:
-    """Validate, dispatch, and render one scenario; returns (code, text, report)."""
+    """Validate, dispatch, and render one scenario; returns (code, text, report).
+
+    A DOT rendering depends on the scenario alone, so it is made (and any
+    problem with it reported) before the scenario runs.
+    """
     validate_scenario(scenario)
+    if fmt == "dot":
+        if scenario["scenario"] != "finite_compare":
+            raise InputProblem("dot output is only available for finite_compare scenarios")
+        text = export_topology(_load_quniform(scenario["q1"]), "q1_specialization")
+        text += export_topology(_load_quniform(scenario["q2"]), "q2_specialization")
+    elif fmt != "json":
+        raise InputProblem(f"unknown format {fmt!r}")
     start = time.monotonic()
     code, results, certificates = _RUNNERS[scenario["scenario"]](scenario)
     elapsed = time.monotonic() - start
     report = build_report(scenario, results, certificates, elapsed)
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "dot":
-        if scenario["scenario"] != "finite_compare":
-            raise InputProblem("dot output is only available for finite_compare scenarios")
-        text = export_topology(_load_quniform(scenario["q1"]), "q1_specialization")
-        text += export_topology(_load_quniform(scenario["q2"]), "q2_specialization")
-    else:
-        raise InputProblem(f"unknown format {fmt!r}")
+        text = _json_text(report)
     return code, text, report
 
 
@@ -312,7 +323,7 @@ def _cmd_enumerate(args) -> tuple[int, str]:
         [],
         time.monotonic() - start,
     )
-    return EXIT_PASS, json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return EXIT_PASS, _json_text(report)
 
 
 def _cmd_scan(args) -> tuple[int, str]:

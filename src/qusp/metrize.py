@@ -112,15 +112,6 @@ class FiniteQuasiPseudometric:
         return cls(g, dist)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Per-pair dyadic ladder weights: 0, 2^-k, or the off-ladder cap."""
-
-    ground: GroundSet
-    weight: Matrix
-    cap: Fraction
-
-
 def every_second_level(seq: NormalSequence) -> NormalSequence:
     """Keep levels 0, 2, 4, ...; the result satisfies the quadruple condition.
 
@@ -132,10 +123,10 @@ def every_second_level(seq: NormalSequence) -> NormalSequence:
     return NormalSequence._trusted(seq.ground, seq.levels[::2], quadruple=True)
 
 
-def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> WeightFunction:
-    """Deepest-membership dyadic weights for a ladder.
+def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> Matrix:
+    """The matrix of deepest-membership dyadic weights for a ladder.
 
-    weight(x, y) is 2^-k for the largest k with (x, y) in level k, the cap
+    Entry (x, y) is 2^-k for the largest k with (x, y) in level k, the cap
     when (x, y) misses level 0, and 0 on the diagonal.  A pair in every
     level drops to 0 only when the deepest level is transitive (see the
     module docstring).
@@ -165,7 +156,7 @@ def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> WeightFunct
                 weight = cap
             row.append(weight)
         rows.append(tuple(row))
-    return WeightFunction(seq.ground, tuple(rows), cap)
+    return tuple(rows)
 
 
 def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPseudometric:
@@ -185,8 +176,7 @@ def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPs
             sq = compose(seq.levels[k + 1], seq.levels[k + 1])
             if not compose(sq, sq) <= seq.levels[k]:
                 raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
-    w = weight_function(seq, cap)
-    scale, dist = _common_units(w.weight)
+    scale, dist = _common_units(weight_function(seq, cap))
     for mid, row_mid in enumerate(dist):
         for row_i in dist:
             via = row_i[mid]

@@ -47,6 +47,7 @@ from .serialize import _exact, frac_str
 
 DEFAULT_TRUNCATION_DEPTH = 64
 DEFAULT_GRID = 1 << 10
+MAX_PROBE_WITNESSES = 12
 
 
 class CoverError(ValueError):
@@ -222,28 +223,18 @@ class OmegaCover:
         rest = (self.sets[n] - self.sets[n - 1] for n in range(1, len(self.sets)))
         return (self.sets[0], *rest)
 
-    def stratum(self, n: int) -> RationalIntervalSet:
-        """Points whose smallest containing set is ``sets[n]``."""
-        return self.strata[n]
-
     @cached_property
     def stratum_index(self) -> tuple[tuple[Interval, int], ...]:
         """Every stratum interval as (piece, n), sorted (`tagged_pieces`).
 
         With nested sets the strata are pairwise disjoint, so this list,
-        sorted by lower cut, is sorted by upper cut too.
+        sorted by lower cut, is sorted by upper cut too, which the sweeps
+        `overlapping_tags` and `tags_of_sorted` need.  A point lies in
+        stratum n exactly when ``sets[n]`` is the first set containing it,
+        so ``tags_of_sorted(stratum_index, points)`` is `min_index_of` for
+        each point of an ascending sequence, in one pass.
         """
         return tagged_pieces(self.strata)
-
-    def min_indices_of_sorted(self, points: tuple[Fraction, ...]) -> list[int | None]:
-        """``min_index_of`` for each point of an ascending sequence, in one sweep.
-
-        A point lies in stratum n exactly when ``sets[n]`` is the first set
-        containing it, so one forward pointer over the sorted, disjoint
-        stratum intervals locates every point (`tags_of_sorted`).  Needs
-        nested sets.
-        """
-        return tags_of_sorted(self.stratum_index, points)
 
     def to_json(self) -> dict:
         return {
@@ -256,7 +247,7 @@ class OmegaCover:
 
 @dataclass(frozen=True)
 class RefinedBase:
-    """Iterated star covers, optionally intersected with background scales.
+    """Iterated star covers and their normal-sequence certificate.
 
     ``covers[0]`` is the original cover; each later entry is the star cover
     of its predecessor, so the induced successor relations form a normal
@@ -373,37 +364,26 @@ def star_cover(c: OmegaCover) -> OmegaCover:
     return OmegaCover(c.oracle, tuple(new_sets), tuple(new_scales))
 
 
-def _meeting_strata(fine: OmegaCover, coarse: OmegaCover) -> list[tuple[int, int]]:
-    """Every pair (k, n) whose fine stratum k meets coarse stratum n, sorted.
-
-    Relies on the strata of one cover being pairwise disjoint (nested sets),
-    so each cover's `OmegaCover.stratum_index` is sorted by upper cut as well
-    as by lower cut.  A two-pointer sweep (`overlapping_tags`) then meets
-    only intervals that overlap: linear in the number of stratum intervals,
-    where the all-pairs scan intersected every fine stratum with every
-    coarse one.
-    """
-    return overlapping_tags(fine.stratum_index, coarse.stratum_index)
-
-
 def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_size: int) -> dict:
     """Exact and sampled checks that fine's squared relation sits in coarse's.
 
     On the stratum of points first appearing in fine set k, the squared
     successor is exactly fine.sets[k + 2]; the check compares it against
     coarse.sets[n + 1] wherever the stratum meets the coarse stratum n.
-    Only the meeting pairs are visited (`_meeting_strata`), in (k, n) order.
-    Stratum pairs whose indices would run past a truncation depth are
-    counted as skipped, not assumed.  The grid check stays an independent
-    sample: it locates each grid point in each cover's stratum index
-    (`OmegaCover.min_indices_of_sorted`, one sweep over the ascending grid)
-    and repeats the containment for it.  Both parts rely on each cover's
-    strata being disjoint, which holds for the nested sets validation checks.
+    Only the meeting pairs are visited, in (k, n) order: a two-pointer sweep
+    over the two stratum indices (`overlapping_tags`) meets only intervals
+    that overlap, linear in the number of stratum intervals.  Stratum pairs
+    whose indices would run past a truncation depth are counted as skipped,
+    not assumed.  The grid check stays an independent sample: it locates
+    each grid point in each cover's stratum index (`tags_of_sorted`, one
+    sweep over the ascending grid) and repeats the containment for it.  Both
+    parts rely on each cover's strata being disjoint, which holds for the
+    nested sets validation checks.
     """
     exact_checked = 0
     skipped = 0
     failures: list[dict] = []
-    for k, n in _meeting_strata(fine, coarse):
+    for k, n in overlapping_tags(fine.stratum_index, coarse.stratum_index):
         if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
             skipped += 1
             continue
@@ -413,7 +393,7 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
     grid_checked = 0
     grid_violations = 0
     grid = rational_grid(grid_size)
-    for k, n in zip(fine.min_indices_of_sorted(grid), coarse.min_indices_of_sorted(grid)):
+    for k, n in zip(tags_of_sorted(fine.stratum_index, grid), tags_of_sorted(coarse.stratum_index, grid)):
         if k is None or n is None or k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
             continue
         grid_checked += 1
@@ -544,20 +524,21 @@ def _stratum_successor_checks(c: OmegaCover, s: Fraction, a: RationalIntervalSet
     """Whether the scale-s image of a's part in stratum n stays in ``sets[n + 1]``, n <= last."""
     checks = []
     for n in range(last + 1):
-        piece = a & c.stratum(n)
+        piece = a & c.strata[n]
         if not piece.is_empty:
             checks.append({"stratum": n, "holds": c.oracle.image(s, piece) <= c.sets[n + 1]})
     return checks
 
 
-def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet, probe_limit: int = 12) -> dict:
+def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) -> dict:
     """Hypothesis witnesses and hyperspace admissibility for the intersected relation.
 
     For U at half the requested scale, searches a cover index G such that
     every point of a outside G sees a member of a inside G within U, and is
     seen within U from a member of a beyond the deepest materialized set.
     Both quantifiers over the (infinite) probe set reduce to exact interval
-    containments; a handful of per-point witnesses is extracted for audit.
+    containments; per-point witnesses for up to `MAX_PROBE_WITNESSES`
+    components of a outside G are extracted for audit.
     When no index works the report says so instead of raising.
     """
     if a.is_empty:
@@ -607,7 +588,7 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet, 
     inside = a & c.sets[found]
     outside = a - c.sets[found]
     probes = []
-    for comp in outside.intervals[:probe_limit]:
+    for comp in outside.intervals[:MAX_PROBE_WITNESSES]:
         x = RationalIntervalSet.of(comp).pick_point()
         near = (inside & c.oracle.image(delta, point(x))).pick_point()
         deep = (deep_pool & c.oracle.inv_image(delta, point(x))).pick_point()
@@ -711,7 +692,7 @@ def cert_not_entourage(c: OmegaCover, probe_scales: list[Fraction]) -> dict:
             raise ValueError("probe scales must be positive")
         found = None
         for n in range(c.truncation_depth):
-            stratum = c.stratum(n)
+            stratum = c.strata[n]
             if stratum.is_empty:
                 continue
             escape = c.oracle.image(eps, stratum) - c.sets[n + 1]
@@ -743,8 +724,8 @@ def refined_base(
     seq: RefinedBase,
     background_scales: list[Fraction],
     probes: list[RationalIntervalSet],
-) -> RefinedBase:
-    """Refined quasi-uniformity base with its full certificate bundle.
+) -> dict:
+    """The full certificate bundle of the refined quasi-uniformity base.
 
     ``seq`` is the star-cover tower from `cover_normal_sequence` (or a
     `RefinedBase.prefix` of a deeper one), so a tower that was already built
@@ -776,7 +757,7 @@ def refined_base(
                         f"{mc.get('reason', mc)}"
                     )
                 membership.append(mc)
-    cert = {
+    return {
         "kind": "refined_base",
         "base": [
             {"cover": j, "scale": frac_str(s)} for j in range(len(seq.covers)) for s in scales
@@ -786,7 +767,6 @@ def refined_base(
         "membership": membership,
         "passed": True,
     }
-    return RefinedBase(seq.covers, cert)
 
 
 def dense_scenario(

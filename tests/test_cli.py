@@ -87,11 +87,6 @@ class TestRunScenario:
         assert "refined_base" in kinds
         assert "not_entourage" in kinds
 
-    def test_dense_alias(self):
-        scenario = {"scenario": "dense", "eps": "1/2", "depth": 12, "refine_depth": 0, "grid": 32}
-        code, _, _ = run_scenario(scenario)
-        assert code == EXIT_PASS
-
     def test_schema_violation_has_field_path(self):
         with pytest.raises(Exception) as err:
             run_scenario({"scenario": "singular_scan"})
@@ -240,6 +235,12 @@ class TestExportTopology:
         with pytest.raises(Exception, match="capped"):
             export_topology(FiniteQuasiUniformity.discrete(g))
 
+    def test_label_with_cluster_separator_rejected(self):
+        # A point labelled "a=b" would print as the cluster of "a" and "b".
+        assert 'c0 [label="a=b"]' in export_topology(FiniteQuasiUniformity.indiscrete(G2))
+        with pytest.raises(InputProblem, match="label 'a=b'"):
+            export_topology(FiniteQuasiUniformity.discrete(ground("a=b", "c")))
+
     def test_labels_escaped(self):
         labels = ['a"b', "c\\", 'd\\"e']
         dot = export_topology(FiniteQuasiUniformity.discrete(ground(*labels)))
@@ -282,10 +283,15 @@ class TestMainEntry:
         capsys.readouterr()
 
     def test_schema_violation_exit(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, "schema.json", {"scenario": "singular_scan", "n": 9})
-        assert main(["run", str(path)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "schema violation" in err and "$.n" in err
+        for scenario, field in (
+            ({"scenario": "singular_scan", "n": 9}, "$.n"),
+            # "dense" is no longer an alias of "dense_witness".
+            ({"scenario": "dense", "eps": "1/2", "depth": 12, "refine_depth": 0, "grid": 32}, "$.scenario"),
+        ):
+            path = write_scenario(tmp_path, "schema.json", scenario)
+            assert main(["run", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert "schema violation" in err and field in err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -311,6 +317,27 @@ class TestMainEntry:
         path = write_scenario(tmp_path, "scan.json", {"scenario": "singular_scan", "n": 2})
         assert main(["run", path, "--format", "dot"]) == EXIT_INPUT
         capsys.readouterr()
+
+    def test_rejected_format_never_runs_the_scenario(self, tmp_path, capsys, monkeypatch):
+        def never(scenario):
+            raise AssertionError("scenario runner called")
+
+        for name in list(qusp.cli._RUNNERS):
+            monkeypatch.setitem(qusp.cli._RUNNERS, name, never)
+        nine = ground(*[f"x{i}" for i in range(9)])
+        big = FiniteQuasiUniformity.discrete(nine).to_json()
+        labelled = FiniteQuasiUniformity.discrete(ground("a=b", "c")).to_json()
+        for scenario, message in (
+            ({"scenario": "singular_scan", "n": 2}, "only available for finite_compare"),
+            ({"scenario": "finite_compare", "q1": big, "q2": big}, "capped at ground size 8"),
+            ({"scenario": "finite_compare", "q1": labelled, "q2": labelled}, "label 'a=b'"),
+        ):
+            path = write_scenario(tmp_path, "dot.json", scenario)
+            assert main(["run", path, "--format", "dot"]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
+        with pytest.raises(InputProblem, match="unknown format 'svg'"):
+            run_scenario({"scenario": "singular_scan", "n": 2}, "svg")
 
     def test_enumerate_command(self, capsys):
         assert main(["enumerate", "3"]) == EXIT_PASS

@@ -29,20 +29,20 @@ class TestWeightFunction:
         r = Relation.from_pairs(G2, [("a", "b")], reflexive=True)
         seq = NormalSequence(G2, (r, r, r))
         w = weight_function(seq, F(1))
-        assert w.weight[0][1] == 0  # in every level, stable tail
-        assert w.weight[1][0] == 1  # off the ladder: cap
-        assert w.weight[0][0] == 0 and w.weight[1][1] == 0
+        assert w[0][1] == 0  # in every level, stable tail
+        assert w[1][0] == 1  # off the ladder: cap
+        assert w[0][0] == 0 and w[1][1] == 0
 
     def test_two_point_ladder(self):
         w = weight_function(two_point_ladder(), F(1))
-        assert w.weight[0][1] == F(1, 2)  # deepest membership at level 1
-        assert w.weight[1][0] == 1  # only level 0 (the full relation)
+        assert w[0][1] == F(1, 2)  # deepest membership at level 1
+        assert w[1][0] == 1  # only level 0 (the full relation)
 
     def test_diagonal_always_zero(self):
         for seed in range(5):
             seq = random_normal_sequence(seed, 5, 4)
             w = weight_function(seq)
-            assert all(w.weight[i][i] == 0 for i in range(5))
+            assert all(w[i][i] == 0 for i in range(5))
 
     def test_unstable_tail_keeps_dyadic_weight(self):
         chain = Relation.from_pairs(
@@ -51,7 +51,7 @@ class TestWeightFunction:
         top = compose(chain, chain)
         seq = NormalSequence(chain.ground, (top, chain))
         w = weight_function(seq)
-        assert w.weight[0][1] == F(1, 2)  # not zero: tail is not transitive
+        assert w[0][1] == F(1, 2)  # not zero: tail is not transitive
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -301,7 +301,7 @@ class TestIntegerFastPaths:
     @settings(max_examples=150, deadline=None)
     def test_kelley_metric_matches_fraction_floyd_warshall(self, seed, n, depth, cap):
         sub = every_second_level(random_normal_sequence(seed, n, depth))
-        expected = reference_floyd_warshall(weight_function(sub, cap).weight)
+        expected = reference_floyd_warshall(weight_function(sub, cap))
         got = kelley_metric(sub, cap).dist
         assert got == expected
         assert all(type(v) is F for row in got for v in row)

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qusp.intervals import EMPTY, GROUND, Interval, RationalIntervalSet, iv, point, rational_grid
+from qusp.intervals import (
+    EMPTY,
+    GROUND,
+    Interval,
+    RationalIntervalSet,
+    iv,
+    overlapping_tags,
+    point,
+    rational_grid,
+    tags_of_sorted,
+)
 from qusp.ratcover import (
     EUCLID,
     LOWER,
@@ -26,7 +36,7 @@ from qusp.ratcover import (
     star_cover,
     uniformly_isolated_witness,
 )
-from qusp.ratcover import _double_successor_containments, _meeting_strata
+from qusp.ratcover import _double_successor_containments
 from qusp.serialize import frac_str, parse_frac
 
 PROBE_POINTS = [F(i, 101) for i in range(1, 101)]
@@ -286,49 +296,6 @@ class TestNormalSequence:
             assert pair["exact_stratum_checks"] > 0
 
 
-# Reference implementations the fast paths replaced; kept only here.
-
-
-def reference_and(a, b):
-    """Every piece of a intersected with every piece of b, then normalized."""
-    pieces = []
-    for x in a.intervals:
-        for y in b.intervals:
-            lower = max(x.lower_cut, y.lower_cut)
-            upper = min(x.upper_cut, y.upper_cut)
-            if lower <= upper:
-                pieces.append(Interval(lower[0], upper[0], lower[1] == 1, upper[1] == -1))
-    return RationalIntervalSet(tuple(pieces))
-
-
-def reference_complement(a):
-    """The ground minus each piece of a in turn, one piece's two sides at a time."""
-    out = GROUND
-    for p in a.intervals:
-        sides = (Interval(F(0), p.lo, True, not p.lo_open), Interval(p.hi, F(1), not p.hi_open, True))
-        out = reference_and(out, RationalIntervalSet(sides))
-    return out
-
-
-def reference_strata(cover):
-    """``sets[0]``, then ``sets[n] - sets[n - 1]``, through the reference operations."""
-    sets = cover.sets
-    return [sets[0]] + [reference_and(sets[n], reference_complement(sets[n - 1])) for n in range(1, len(sets))]
-
-
-def all_pairs_meeting(fine, coarse):
-    """Every fine stratum intersected with every coarse stratum."""
-    fine_strata = reference_strata(fine)
-    coarse_strata = reference_strata(coarse)
-    return [
-        (k, n)
-        for k, a in enumerate(fine_strata)
-        if not a.is_empty
-        for n, b in enumerate(coarse_strata)
-        if not reference_and(a, b).is_empty
-    ]
-
-
 # Fraction references for the integer-cut code.  They work on lists of
 # public (Fraction, tweak) cut pairs, read off a set once through
 # ``frac_cuts``, and never call a set operation or constructor under test.
@@ -399,6 +366,17 @@ def frac_strata(cover):
     return [sets[0]] + [frac_and(sets[n], frac_complement(sets[n - 1])) for n in range(1, len(sets))]
 
 
+def frac_min_index(cover, x):
+    """The first set holding x, by a linear scan of the sets' cut pairs."""
+    return next((n for n, s in enumerate(cover.sets) if frac_contains(frac_cuts(s), x)), None)
+
+
+def frac_meeting(fine, coarse):
+    """Every fine stratum intersected with every coarse stratum."""
+    coarse_strata = frac_strata(coarse)
+    return [(k, n) for k, a in enumerate(frac_strata(fine)) for n, b in enumerate(coarse_strata) if frac_and(a, b)]
+
+
 def linear_first(cover, holds):
     return next((n for n, s in enumerate(cover.sets) if holds(s)), None)
 
@@ -406,21 +384,25 @@ def linear_first(cover, holds):
 def reference_containments(fine, coarse, grid_size):
     """The all-pairs certificate, with linear scans for the grid points."""
     checked, skipped, failures = 0, 0, []
-    for k, n in all_pairs_meeting(fine, coarse):
+
+    def inside(k, n):
+        return frac_le(frac_cuts(fine.sets[k + 2]), frac_cuts(coarse.sets[n + 1]))
+
+    for k, n in frac_meeting(fine, coarse):
         if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
             skipped += 1
             continue
         checked += 1
-        if not fine.sets[k + 2] <= coarse.sets[n + 1]:
+        if not inside(k, n):
             failures.append({"fine_stratum": k, "coarse_stratum": n})
     grid_checked = grid_violations = 0
     for x in rational_grid(grid_size):
-        k = linear_first(fine, lambda s: x in s)
-        n = linear_first(coarse, lambda s: x in s)
+        k = frac_min_index(fine, x)
+        n = frac_min_index(coarse, x)
         if k is None or n is None or k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
             continue
         grid_checked += 1
-        grid_violations += not fine.sets[k + 2] <= coarse.sets[n + 1]
+        grid_violations += not inside(k, n)
     return {
         "exact_stratum_checks": checked,
         "exact_failures": failures,
@@ -472,7 +454,7 @@ class TestStratumSweep:
         cover, _ = dense_scenario(eps, depth=12)
         star = star_cover(cover)
         for fine, coarse in ((star, cover), (star_cover(star), star), (cover, star)):
-            assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+            assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
             assert _double_successor_containments(fine, coarse, 64) == reference_containments(fine, coarse, 64)
 
     @given(nested_covers())
@@ -480,7 +462,7 @@ class TestStratumSweep:
     def test_multi_interval_star_pairs(self, cover):
         star = star_cover(cover)
         for fine, coarse in ((star, cover), (cover, star)):
-            assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+            assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
             assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
 
     @given(nested_covers(), nested_covers())
@@ -488,7 +470,7 @@ class TestStratumSweep:
     def test_unrelated_covers(self, fine, coarse):
         # Unrelated covers usually fail the containments, which also checks
         # that failures come out in (k, n) order.
-        assert _meeting_strata(fine, coarse) == all_pairs_meeting(fine, coarse)
+        assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
         assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
 
     @given(nested_covers(oracles=(UPPER, LOWER)))
@@ -531,29 +513,7 @@ interval_sets = st.one_of(multi_interval_sets(), touching_sets)
 
 
 class TestFastPathsAgainstReferences:
-    """The merge-pass set operations, cached strata and grid sweep."""
-
-    @given(interval_sets, interval_sets)
-    @settings(max_examples=300, deadline=None)
-    def test_and_matches_all_pairs(self, a, b):
-        fast = a & b
-        assert fast.intervals == reference_and(a, b).intervals
-        assert (b & a).intervals == fast.intervals
-
-    @pytest.mark.parametrize("lo_open", [True, False])
-    @pytest.mark.parametrize("hi_open", [True, False])
-    def test_and_of_pieces_touching_at_one_endpoint(self, lo_open, hi_open):
-        left = iv(F(1, 4), F(1, 2), hi_open=hi_open) | iv(F(5, 8), F(3, 4))
-        right = iv(F(1, 2), F(5, 8), lo_open=lo_open, hi_open=False)
-        for a, b in ((left, right), (right, left)):
-            assert (a & b).intervals == reference_and(a, b).intervals
-
-    @given(interval_sets)
-    @settings(max_examples=200, deadline=None)
-    def test_complement_is_normalized(self, a):
-        fast = a.complement()
-        assert fast.intervals == RationalIntervalSet(fast.intervals).intervals
-        assert fast.intervals == reference_complement(a).intervals
+    """The cached strata, stratum index and grid sweep on multi-interval covers."""
 
     @given(nested_covers(), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -562,7 +522,6 @@ class TestFastPathsAgainstReferences:
             cover = star_cover(cover)
         strata = frac_strata(cover)
         assert [frac_cuts(s) for s in cover.strata] == strata
-        assert all(cover.stratum(n) is cover.strata[n] for n in range(len(strata)))
         tagged = sorted((lo, hi, n) for n, s in enumerate(strata) for lo, hi in s)
         assert [(p.lower_cut, p.upper_cut, n) for p, n in cover.stratum_index] == tagged
 
@@ -573,7 +532,7 @@ class TestFastPathsAgainstReferences:
             cover = star_cover(cover)
         # Every multiple of 1/384 includes every endpoint the covers can have.
         for grid in (rational_grid(grid_size), tuple(F(i, 4 * DEN) for i in range(1, 4 * DEN))):
-            assert cover.min_indices_of_sorted(grid) == [linear_first(cover, lambda s: x in s) for x in grid]
+            assert tags_of_sorted(cover.stratum_index, grid) == [frac_min_index(cover, x) for x in grid]
 
 
 # Non-dyadic scales next to grid steps of 1/96, so images often end exactly
@@ -599,6 +558,14 @@ def probe_points(*sets):
     return sorted(points)
 
 
+# Pieces of two sets touching at 1/2 and at 5/8, open or closed on each side.
+TOUCHING = [
+    (iv(F(1, 4), F(1, 2), hi_open=hi_open) | iv(F(5, 8), F(3, 4)), iv(F(1, 2), F(5, 8), lo_open=lo_open, hi_open=False))
+    for hi_open in (True, False)
+    for lo_open in (True, False)
+]
+
+
 class TestIntegerCutsAgainstFractions:
     """Every integer-cut operation against the `Fraction` references above."""
 
@@ -609,10 +576,15 @@ class TestIntegerCutsAgainstFractions:
         assert frac_cuts(RationalIntervalSet(tuple(raw))) == want
 
     @given(interval_sets, interval_sets)
+    @example(*TOUCHING[0])
+    @example(*TOUCHING[1])
+    @example(*TOUCHING[2])
+    @example(*TOUCHING[3])
     @settings(max_examples=300, deadline=None)
     def test_set_algebra(self, a, b):
         cuts_a, cuts_b = frac_cuts(a), frac_cuts(b)
         assert frac_cuts(a & b) == frac_and(cuts_a, cuts_b)
+        assert (b & a).intervals == (a & b).intervals
         assert frac_cuts(a.complement()) == frac_complement(cuts_a)
         assert frac_cuts(a - b) == frac_and(cuts_a, frac_complement(cuts_b))
         for sub in (a, a & b, b - a):
@@ -651,9 +623,7 @@ class TestIntegerCutsAgainstFractions:
             tagged = sorted((lo, hi, n) for n, s in enumerate(frac_strata(c)) for lo, hi in s)
             assert [(p.lower_cut, p.upper_cut, n) for p, n in c.stratum_index] == tagged
             grid = tuple(probe_points(*c.sets)[1:-1])
-            assert c.min_indices_of_sorted(grid) == [
-                next((n for n, s in enumerate(c.sets) if frac_contains(frac_cuts(s), x)), None) for x in grid
-            ]
+            assert tags_of_sorted(c.stratum_index, grid) == [frac_min_index(c, x) for x in grid]
 
 
 class TestFloatsRejected:
@@ -847,15 +817,15 @@ class TestRefinedBase:
     def test_flagship_bundle(self):
         cover = flagship()
         probes = random_interval_sets(77, 10)
-        rb = refined_base(cover_normal_sequence(cover, 2, grid_size=128), [F(1, 4), F(1, 16)], probes)
-        assert rb.certificate["passed"]
-        assert len(rb.certificate["base"]) == 6
-        assert len(rb.certificate["membership"]) == 6 * len(probes)
+        cert = refined_base(cover_normal_sequence(cover, 2, grid_size=128), [F(1, 4), F(1, 16)], probes)
+        assert cert["passed"]
+        assert len(cert["base"]) == 6
+        assert len(cert["membership"]) == 6 * len(probes)
 
     def test_trivial_scale_one(self):
         cover = flagship(depth=16)
-        rb = refined_base(cover_normal_sequence(cover, 0, grid_size=64), [F(1)], [])
-        assert rb.certificate["base"] == [{"cover": 0, "scale": "1/1"}]
+        cert = refined_base(cover_normal_sequence(cover, 0, grid_size=64), [F(1)], [])
+        assert cert["base"] == [{"cover": 0, "scale": "1/1"}]
 
     def test_aborts_on_failing_probe(self):
         cover = flagship(depth=16)
