@@ -9,9 +9,9 @@ For a relation u on X, the power set P(X) carries three derived relations:
 P(X) here includes the empty set, so the hyperspace successor set of the
 empty set under the intersected relation is exactly {empty}.
 
-Subset masks index hyperspace rows.  Rows are built in O(4^n * n) overall
-via memoized subset images and submask-indicator bit tricks; grounds above
-16 points are rejected outright (a row would need 2^n bits).
+Subset masks index rows of 2^n bits.  The lower relation and the intersection
+take O(2^n) big-int operations, the upper one a submask indicator per distinct
+subset image; grounds above 16 points are rejected outright.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ class HyperRelation:
     def __le__(self, other: "HyperRelation") -> bool:
         if self.base_ground != other.base_ground:
             raise ValueError("hyper relations live on different ground sets")
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        return all(map(int.__eq__, map(int.__and__, self.rows, other.rows), self.rows))
 
     def __and__(self, other: "HyperRelation") -> "HyperRelation":
         if self.base_ground != other.base_ground:
             raise ValueError("hyper relations live on different ground sets")
-        return HyperRelation(self.base_ground, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return HyperRelation(self.base_ground, tuple(map(int.__and__, self.rows, other.rows)))
 
     def to_json(self) -> dict:
         size = self.size
@@ -107,12 +107,11 @@ def hyper_minus(u: Relation) -> HyperRelation:
 
 
 def hyper_plus(u: Relation) -> HyperRelation:
-    """(A, B) related when B is contained in the u-image of A."""
+    """(A, B) related when B is inside image(u, A); subsets with equal images share one row object."""
     _guard(u.ground)
-    n = u.ground.size
     imgs = _image_table(u)
-    rows = tuple(_submask_indicator(imgs[mask], n) for mask in range(1 << n))
-    return HyperRelation(u.ground, rows)
+    indicator = {img: _submask_indicator(img, u.ground.size) for img in set(imgs)}
+    return HyperRelation(u.ground, tuple(map(indicator.__getitem__, imgs)))
 
 
 def hyper_h(u: Relation) -> HyperRelation:

@@ -246,7 +246,7 @@ class OmegaCover:
 
 
 @dataclass(frozen=True)
-class RefinedBase:
+class StarTower:
     """Iterated star covers and their normal-sequence certificate.
 
     ``covers[0]`` is the original cover; each later entry is the star cover
@@ -258,7 +258,7 @@ class RefinedBase:
     covers: tuple[OmegaCover, ...]
     certificate: dict
 
-    def prefix(self, depth: int) -> "RefinedBase":
+    def prefix(self, depth: int) -> "StarTower":
         """The bare normal sequence cut after ``depth`` star steps.
 
         ``star_cover`` is deterministic and each pair certificate depends
@@ -274,7 +274,7 @@ class RefinedBase:
             "pairs": pairs,
             "passed": all(p["passed"] for p in pairs),
         }
-        return RefinedBase(self.covers[: depth + 1], cert)
+        return StarTower(self.covers[: depth + 1], cert)
 
 
 def chain_cover_from_sequence(oracle, sets_fn, witness_scales_fn, depth: int = DEFAULT_TRUNCATION_DEPTH) -> OmegaCover:
@@ -409,7 +409,7 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
     }
 
 
-def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GRID) -> RefinedBase:
+def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GRID) -> StarTower:
     """Iterate the star construction ``depth`` times and certify normality.
 
     Produces covers 0..depth where cover 0 is the input; for each
@@ -430,7 +430,7 @@ def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GR
         "pairs": [{"finer": j + 1, "coarser": j, **rep} for j, rep in enumerate(pair_reports)],
         "passed": all(rep["passed"] for rep in pair_reports),
     }
-    return RefinedBase(tuple(covers), cert)
+    return StarTower(tuple(covers), cert)
 
 
 def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
@@ -721,27 +721,26 @@ def cert_not_entourage(c: OmegaCover, probe_scales: list[Fraction]) -> dict:
 
 
 def refined_base(
-    seq: RefinedBase,
+    tower: StarTower,
     background_scales: list[Fraction],
     probes: list[RationalIntervalSet],
 ) -> dict:
     """The full certificate bundle of the refined quasi-uniformity base.
 
-    ``seq`` is the star-cover tower from `cover_normal_sequence` (or a
-    `RefinedBase.prefix` of a deeper one), so a tower that was already built
-    and certified is not built again.  The base intersects each of its
-    covers' successor relations with each background metric scale.
-    Construction aborts on the first failing certificate, quoting its
-    witness.
+    ``tower`` comes from `cover_normal_sequence` (or is a `StarTower.prefix`
+    of a deeper one), so a tower that was already built and certified is not
+    built again.  The base intersects each of its covers' successor
+    relations with each background metric scale.  Construction aborts on
+    the first failing certificate, quoting its witness.
     """
     scales = [_exact(s, "background scale") for s in background_scales]
     if not scales:
         raise ValueError("need at least one background scale")
-    if not seq.certificate["passed"]:
-        raise CoverError(f"normal sequence certificate failed: {seq.certificate}")
+    if not tower.certificate["passed"]:
+        raise CoverError(f"normal sequence certificate failed: {tower.certificate}")
     bounded = []
     membership = []
-    for j, cov in enumerate(seq.covers):
+    for j, cov in enumerate(tower.covers):
         for s in scales:
             bc = cert_boundedhaus(cov, s)
             bc.update({"cover": j})
@@ -760,9 +759,9 @@ def refined_base(
     return {
         "kind": "refined_base",
         "base": [
-            {"cover": j, "scale": frac_str(s)} for j in range(len(seq.covers)) for s in scales
+            {"cover": j, "scale": frac_str(s)} for j in range(len(tower.covers)) for s in scales
         ],
-        "normal_sequence": seq.certificate,
+        "normal_sequence": tower.certificate,
         "bounded": bounded,
         "membership": membership,
         "passed": True,

@@ -60,6 +60,28 @@ def transitive_closure(r):
 
 
 @st.composite
+def pooled_relations(draw, n_max=6):
+    """Two relations on one ground of up to n_max points, rows drawn from a small pool.
+
+    Points that draw the same pool row give many subsets one image; empty
+    rows are allowed and reflexivity is not required.
+    """
+    n = draw(st.integers(1, n_max))
+    g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    rows = st.tuples(*[st.sampled_from(pool)] * n)
+    return Relation(g, draw(rows)), Relation(g, draw(rows))
+
+
+def reference_le(h1, h2):
+    return all(a & ~b == 0 for a, b in zip(h1.rows, h2.rows))
+
+
+def reference_and(h1, h2):
+    return tuple(a & b for a, b in zip(h1.rows, h2.rows))
+
+
+@st.composite
 def reflexive_pairs(draw, n_max=6, closed=False):
     """(u, v) on one ground of up to n_max points; v contains u about half the time."""
     n = draw(st.integers(1, n_max))
@@ -135,6 +157,25 @@ class TestHyperRelations:
                 for b in range(4):
                     assert hm.has(a, b) == (a & ~image(inv, b) == 0)
                     assert hp.has(a, b) == (b & ~image(u, a) == 0)
+
+    @given(pooled_relations())
+    def test_agreement_with_definitions_pooled(self, pair):
+        u, v = pair
+        size = 1 << u.ground.size
+        inv = inverse(u)
+        img = [image(u, a) for a in range(size)]
+        inv_img = [image(inv, b) for b in range(size)]
+        minus = tuple(sum(1 << b for b in range(size) if a & ~inv_img[b] == 0) for a in range(size))
+        plus = tuple(sum(1 << b for b in range(size) if b & ~img[a] == 0) for a in range(size))
+        hm, hp, hh = hyper_minus(u), hyper_plus(u), hyper_h(u)
+        assert hm.rows == minus
+        assert hp.rows == plus
+        assert hh.rows == tuple(m & p for m, p in zip(minus, plus))
+        hypers = (hm, hp, hh, hyper_minus(v), hyper_plus(v), hyper_h(v))
+        for h1 in hypers:
+            for h2 in hypers:
+                assert (h1 <= h2) == reference_le(h1, h2)
+                assert (h1 & h2).rows == reference_and(h1, h2)
 
     def test_size_guard(self):
         g = GroundSet(tuple(f"x{i}" for i in range(17)))

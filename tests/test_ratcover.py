@@ -813,7 +813,7 @@ class TestNotEntourageCert:
         assert deep > shallow
 
 
-class TestRefinedBase:
+class TestStarTower:
     def test_flagship_bundle(self):
         cover = flagship()
         probes = random_interval_sets(77, 10)
