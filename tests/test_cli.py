@@ -12,14 +12,17 @@ from qusp.cli import (
     EXIT_INTERNAL,
     EXIT_PASS,
     InputProblem,
+    build_report,
     canonical_report_bytes,
     export_topology,
     main,
     run_scenario,
 )
+from qusp.hyper import MAX_HYPER_GROUND
 from qusp.quniform import FiniteQuasiUniformity
 from qusp.ratcover import CoverError
 from qusp.relcore import Relation, ground
+from qusp.serialize import canonical_json_bytes
 
 G2 = ground("a", "b")
 G3 = ground("a", "b", "c")
@@ -46,6 +49,7 @@ class TestRunScenario:
         assert report["results"]["pairs"] == 406
         assert report["results"]["collisions"] == []
         assert json.loads(text)["results"]["preorders"] == 29
+        assert canonical_report_bytes(json.loads(text)) == canonical_report_bytes(report)
 
     def test_compare_counterexample(self):
         scenario = {"scenario": "finite_compare", "q1": DISCRETE2, "q2": INDISCRETE2}
@@ -197,9 +201,12 @@ class TestGoldenDigests:
         ids=["kelley_demo_readme", "finite_compare_chain_vs_vee", "dense_witness_probes", "dense_witness_non_dyadic"],
     )
     def test_canonical_report_digest(self, scenario, code, sha256):
-        got_code, _, report = run_scenario(scenario)
+        got_code, text, report = run_scenario(scenario)
         assert got_code == code
         assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == sha256
+        assert text == canonical_json_bytes(report).decode() + "\n"
+        assert text.count("\n") == 1
+        assert canonical_report_bytes(json.loads(text)) == canonical_report_bytes(report)
 
 
 class TestExportTopology:
@@ -343,6 +350,8 @@ class TestMainEntry:
         assert main(["enumerate", "3"]) == EXIT_PASS
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["count"] == 29
+        expected = build_report({"scenario": "enumerate", "n": 3}, {"n": 3, "count": 29}, [], 0.0)
+        assert canonical_report_bytes(report) == canonical_report_bytes(expected)
 
     def test_enumerate_trivial(self, capsys):
         assert main(["enumerate", "1"]) == EXIT_PASS
@@ -387,9 +396,10 @@ class TestExitCodes:
             (ValueError("defect"), EXIT_INTERNAL),
             (CoverError("defect"), EXIT_INTERNAL),
             (KeyError("defect"), EXIT_INTERNAL),
-            (jsonschema.ValidationError("bad field"), EXIT_INPUT),
+            (jsonschema.ValidationError("defect"), EXIT_INTERNAL),
+            (InputProblem("bad field"), EXIT_INPUT),
         ],
-        ids=["ValueError", "CoverError", "KeyError", "ValidationError"],
+        ids=["ValueError", "CoverError", "KeyError", "ValidationError", "InputProblem"],
     )
     def test_runner_exception(self, monkeypatch, capsys, exc, code):
         def broken(scenario):
@@ -415,10 +425,17 @@ class TestExitCodes:
         assert main(["run", write_scenario(tmp_path, "scale.json", scenario)]) == EXIT_INPUT
         assert f"{key}: every scale must be positive" in capsys.readouterr().err
 
-    def test_finite_ground_cap_is_input_error(self, tmp_path, capsys):
-        labels = [f"x{i}" for i in range(17)]
-        rows = ["0" * i + "1" + "0" * (16 - i) for i in range(17)]
-        q = {"min": rel_json(17, labels, rows)}
+    def test_finite_ground_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        n = MAX_HYPER_GROUND + 1
+        labels = [f"x{i}" for i in range(n)]
+        rows = ["0" * i + "1" + "0" * (n - 1 - i) for i in range(n)]
+        q = {"min": rel_json(n, labels, rows)}
         path = write_scenario(tmp_path, "big.json", {"scenario": "finite_compare", "q1": q, "q2": q})
+
+        def never(data):
+            raise AssertionError("relation parsed before the schema refused it")
+
+        monkeypatch.setattr(qusp.cli, "_load_quniform", never)
         assert main(["run", path]) == EXIT_INPUT
-        assert "capped at ground size 16" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "$.q1.min.n" in err and f"maximum of {MAX_HYPER_GROUND}" in err
