@@ -59,17 +59,6 @@ class HyperRelation:
             raise ValueError("hyper relations live on different ground sets")
         return HyperRelation(self.base_ground, tuple(map(int.__and__, self.rows, other.rows)))
 
-    def to_json(self) -> dict:
-        size = self.size
-        return {
-            "n": self.base_ground.size,
-            "labels": list(self.base_ground.labels),
-            "rows": {
-                str(mask): "".join("1" if row >> b & 1 else "0" for b in range(size))
-                for mask, row in enumerate(self.rows)
-            },
-        }
-
 
 def _image_table(u: Relation) -> list[int]:
     """image(u, mask) for every subset mask, by peeling the lowest bit."""

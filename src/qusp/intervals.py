@@ -24,9 +24,9 @@ operation, the image widening and the stratum sweeps run on these
 integers alone, since `Fraction` arithmetic normalizes and dispatches on
 every comparison and dominated the countable layer's run time.  `Fraction`
 stays at the edges: the constructors' arguments, `Interval.lo`/`hi`, the
-public cuts ``lower_cut``/``upper_cut``/``inf_cut``/``sup_cut`` as
-(Fraction, tweak) pairs, the points the sets hand out, and the widening
-amounts.  No other module looks inside a triple.
+public cuts ``Interval.lower_cut``/``upper_cut`` as (Fraction, tweak)
+pairs, the points the sets hand out, and the widening amounts.  No other
+module looks inside a triple.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from typing import Iterable
 from .serialize import _exact, parse_frac
 
 Cut = tuple[Fraction, int]
-
-GROUND_LOWER: Cut = (Fraction(0), 1)
 
 # A cut as reduced integers (numerator, denominator, tweak); see the module docstring.
 _Cut = tuple[int, int, int]
@@ -206,14 +204,6 @@ class RationalIntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    @property
-    def inf_cut(self) -> Cut | None:
-        return self.intervals[0].lower_cut if self.intervals else None
-
-    @property
-    def sup_cut(self) -> Cut | None:
-        return self.intervals[-1].upper_cut if self.intervals else None
-
     def __contains__(self, q: Fraction) -> bool:
         q = _exact(q, "point")
         cut = (q.numerator, q.denominator, 0)
@@ -301,38 +291,27 @@ class RationalIntervalSet:
     def proper_subset_of(self, other: "RationalIntervalSet") -> bool:
         return self <= other and self != other
 
-    def widened(self, below: Fraction | None, above: Fraction | None) -> "RationalIntervalSet":
+    def widened(self, below: Fraction, above: Fraction) -> "RationalIntervalSet":
         """Union of the open intervals (lo - below, hi + above) over the pieces, clamped to (0, 1).
 
-        ``below`` and ``above`` are positive; None stretches every piece to
-        the ground's edge on that side, so that only the last piece (below
-        None) or the first (above None) decides the result.  Every piece is
+        ``below`` and ``above`` are positive; 1, the width of the ground,
+        stretches every piece to the ground's edge on that side, and the
+        merge pass then joins all of them into one piece.  Every piece is
         shifted by the same amounts, so a normalized input gives pieces
         whose lower and upper cuts both never decrease, and one merge pass
         joins the neighbours that overlap; two open ends that meet leave the
         shared point out and stay split.
         """
-        pieces = self.intervals
-        if not pieces:
+        if not self.intervals:
             return self
-        if below is None:
-            pieces = pieces[-1:]
-        if above is None:
-            pieces = pieces[:1]
         out: list[list[_Cut]] = []
-        for piece in pieces:
-            if below is None:
-                lower = _FLOOR
-            else:
-                n, d, _ = piece.lower
-                num, den = n * below.denominator - below.numerator * d, d * below.denominator
-                lower = _reduced(num, den, 1) if num > 0 else _FLOOR
-            if above is None:
-                upper = _CEIL
-            else:
-                n, d, _ = piece.upper
-                num, den = n * above.denominator + above.numerator * d, d * above.denominator
-                upper = _reduced(num, den, -1) if num < den else _CEIL
+        for piece in self.intervals:
+            n, d, _ = piece.lower
+            num, den = n * below.denominator - below.numerator * d, d * below.denominator
+            lower = _reduced(num, den, 1) if num > 0 else _FLOOR
+            n, d, _ = piece.upper
+            num, den = n * above.denominator + above.numerator * d, d * above.denominator
+            upper = _reduced(num, den, -1) if num < den else _CEIL
             if out and _mergeable(out[-1][1], lower):
                 out[-1][1] = upper
             else:
@@ -347,30 +326,6 @@ class RationalIntervalSet:
         if not iv.lo_open:
             return iv.lo
         return (iv.lo + iv.hi) / 2
-
-    def point_near_inf(self, margin: Fraction) -> Fraction:
-        """A member within ``margin`` above the infimum."""
-        if self.is_empty:
-            raise ValueError("empty set has no points")
-        iv = self.intervals[0]
-        if not iv.lo_open:
-            return iv.lo
-        step = min(margin, iv.hi - iv.lo) / 2
-        if step <= 0:
-            raise ValueError("margin must be positive")
-        return iv.lo + step
-
-    def point_near_sup(self, margin: Fraction) -> Fraction:
-        """A member within ``margin`` below the supremum."""
-        if self.is_empty:
-            raise ValueError("empty set has no points")
-        iv = self.intervals[-1]
-        if not iv.hi_open:
-            return iv.hi
-        step = min(margin, iv.hi - iv.lo) / 2
-        if step <= 0:
-            raise ValueError("margin must be positive")
-        return iv.hi - step
 
     def to_json(self) -> dict:
         return {"intervals": [iv.to_json() for iv in self.intervals]}

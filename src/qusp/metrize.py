@@ -6,15 +6,15 @@ The classical metrization lemma turns a sequence of reflexive relations
     V_{k+1}  subset of  {q < 2^-k}  subset of  V_k.
 
 Here the construction is carried out exactly: each pair gets the dyadic
-weight 2^-k of the deepest level containing it (a configurable cap off the
-ladder entirely, zero on the diagonal), and the distance is the chain
-infimum of weight sums, i.e. an all-pairs shortest path over nonnegative
-rational weights.  Every weight is 0, 2^-k or the cap, so the shortest
-paths are computed on integer multiples of one common unit 1/D (D the lcm
-of the weight denominators) and returned as `Fraction` entries; a metric
+weight 2^-k of the deepest level containing it (1 off the ladder
+entirely, zero on the diagonal), and the distance is the chain infimum of
+weight sums, i.e. an all-pairs shortest path over nonnegative rational
+weights.  Every weight is 0, 2^-k or 1, so the shortest paths are computed
+on integer multiples of one common unit 1/D (D the lcm of the weight
+denominators) and returned as `Fraction` entries; a metric
 likewise keeps its entries as integers over their common denominator, on
 which the axioms and the sublevel thresholds are decided.  No floating
-point is involved anywhere (a float distance or cap is rejected), so the
+point is involved anywhere (a float distance is rejected), so the
 sandwich containments above are decided exactly.
 
 Truncation semantics: an off-diagonal pair lying in every materialized
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .relcore import GroundSet, NormalSequence, Relation, compose
-from .serialize import _exact, frac_str, parse_frac
+from .serialize import _exact
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -99,18 +99,6 @@ class FiniteQuasiPseudometric:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_units", tuple(map(tuple, units)))
 
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.ground.labels),
-            "dist": [[frac_str(v) for v in row] for row in self.dist],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteQuasiPseudometric":
-        g = GroundSet(tuple(data["labels"]))
-        dist = tuple(tuple(parse_frac(v) for v in row) for row in data["dist"])
-        return cls(g, dist)
-
 
 def every_second_level(seq: NormalSequence) -> NormalSequence:
     """Keep levels 0, 2, 4, ...; the result satisfies the quadruple condition.
@@ -123,21 +111,18 @@ def every_second_level(seq: NormalSequence) -> NormalSequence:
     return NormalSequence._trusted(seq.ground, seq.levels[::2], quadruple=True)
 
 
-def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> Matrix:
+def weight_function(seq: NormalSequence) -> Matrix:
     """The matrix of deepest-membership dyadic weights for a ladder.
 
-    Entry (x, y) is 2^-k for the largest k with (x, y) in level k, the cap
-    when (x, y) misses level 0, and 0 on the diagonal.  A pair in every
-    level drops to 0 only when the deepest level is transitive (see the
-    module docstring).
+    Entry (x, y) is 2^-k for the largest k with (x, y) in level k, 1 when
+    (x, y) misses level 0, and 0 on the diagonal.  A pair in every level
+    drops to 0 only when the deepest level is transitive (see the module
+    docstring).
     """
-    cap = _exact(cap, "cap")
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     n = seq.ground.size
     last = seq.depth - 1
     bottom = seq.levels[last]
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     by_level = [Fraction(1, 2**k) for k in range(seq.depth)]
     if compose(bottom, bottom) <= bottom:
         by_level[last] = zero
@@ -153,13 +138,13 @@ def weight_function(seq: NormalSequence, cap: Fraction | int = 1) -> Matrix:
                 if level_rows[i] >> j & 1:
                     break
             else:
-                weight = cap
+                weight = one
             row.append(weight)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPseudometric:
+def kelley_metric(seq: NormalSequence) -> FiniteQuasiPseudometric:
     """Chain-infimum quasi-pseudometric of a ladder with the quadruple condition.
 
     Requires level[k+1]^4 inside level[k] for each k (use
@@ -167,16 +152,16 @@ def kelley_metric(seq: NormalSequence, cap: Fraction | int = 1) -> FiniteQuasiPs
     is checked here, except on a ladder from `every_second_level`, which
     meets it by construction and records that it does.  The distance is
     the exact all-pairs shortest path over `weight_function` weights, run on
-    integer multiples of 1/D for D the lcm of the weight denominators (which
-    covers a non-dyadic cap); the triangle inequality holds by construction
-    and the dyadic sandwich holds for every representable level.
+    integer multiples of 1/D for D the lcm of the weight denominators; the
+    triangle inequality holds by construction and the dyadic sandwich holds
+    for every representable level.
     """
     if not seq._quadruple:
         for k in range(seq.depth - 1):
             sq = compose(seq.levels[k + 1], seq.levels[k + 1])
             if not compose(sq, sq) <= seq.levels[k]:
                 raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
-    scale, dist = _common_units(weight_function(seq, cap))
+    scale, dist = _common_units(weight_function(seq))
     for mid, row_mid in enumerate(dist):
         for row_i in dist:
             via = row_i[mid]
@@ -221,9 +206,7 @@ def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
     )
 
 
-def random_normal_sequence(
-    seed: int, n: int, depth: int, identity_bottom: bool = False
-) -> NormalSequence:
+def random_normal_sequence(seed: int, n: int, depth: int) -> NormalSequence:
     """Seeded random valid ladder, built bottom-up by squaring plus extras.
 
     Each level contains the square of the one below and the diagonal, so
@@ -244,7 +227,7 @@ def random_normal_sequence(
             rows.append(row)
         return Relation(g, tuple(rows))
 
-    current = Relation.identity(g) if identity_bottom else sprinkle(0.2)
+    current = sprinkle(0.2)
     levels = [current]
     for _ in range(depth - 1):
         current = compose(current, current) | sprinkle(0.08)

@@ -33,7 +33,6 @@ from itertools import accumulate
 
 from .intervals import (
     GROUND,
-    GROUND_LOWER,
     Interval,
     RationalIntervalSet,
     iv,
@@ -92,7 +91,9 @@ class MetricOracle:
 
         Each piece [lo, hi] of a, open or closed, maps to the open interval
         (lo - eps, hi + eps) under euclid, (0, hi + eps) under upper and
-        (lo - eps, 1) under lower.
+        (lo - eps, 1) under lower.  The one-sided oracles widen by 1, the
+        width of the ground, on the unbounded side, which stretches every
+        piece to the ground's edge.
         """
         eps = _exact(eps, "entourage scale")
         if eps <= 0:
@@ -100,41 +101,30 @@ class MetricOracle:
         if self.kind == "euclid":
             return a.widened(eps, eps)
         if self.kind == "upper":
-            return a.widened(None, eps)
-        return a.widened(eps, None)
+            return a.widened(1, eps)
+        return a.widened(eps, 1)
 
     def inv_image(self, eps: Fraction, a: RationalIntervalSet) -> RationalIntervalSet:
         """Exact {x : some y in a has q(x, y) < eps}."""
         return self.conjugate().image(eps, a)
 
     def is_small(self, a: RationalIntervalSet, eps: Fraction) -> bool:
-        """Every ordered pair of members lies strictly below eps."""
-        witness = self.small_violation(a, eps)
-        return witness is None
+        """Every ordered pair of members lies strictly below eps.
 
-    def small_violation(self, a: RationalIntervalSet, eps: Fraction) -> tuple[Fraction, Fraction] | None:
-        """An exact member pair at distance >= eps, or None when a is small."""
+        The span sup a - inf a decides it under all three oracles: the
+        distances inside a come arbitrarily close to the span (upward pairs
+        under upper, downward pairs under lower, either under euclid) and
+        reach it only when both extreme ends are closed.  So a nonempty a is
+        small iff its span is below eps, or equals eps with an open extreme.
+        """
         eps = _exact(eps, "smallness scale")
-        if a.is_empty or len(a.intervals) == 1 and a.intervals[0].lo == a.intervals[0].hi:
-            return None
-        lo_cut = a.inf_cut
-        hi_cut = a.sup_cut
-        span = hi_cut[0] - lo_cut[0]
-        attained = lo_cut[1] == 0 and hi_cut[1] == 0
-        if span < eps or (span == eps and not attained):
-            return None
-        if span == eps:
-            low, high = lo_cut[0], hi_cut[0]
-        else:
-            margin = (span - eps) / 2
-            low = a.point_near_inf(margin)
-            high = a.point_near_sup(margin)
-        if self.kind == "lower":
-            return (high, low)
-        return (low, high)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
+        if eps <= 0:
+            raise ValueError("smallness scale must be positive")
+        if a.is_empty:
+            return True
+        first, last = a.intervals[0], a.intervals[-1]
+        span = last.hi - first.lo
+        return span < eps or span == eps and (first.lo_open or last.hi_open)
 
 
 EUCLID = MetricOracle("euclid")
@@ -235,14 +225,6 @@ class OmegaCover:
         each point of an ascending sequence, in one pass.
         """
         return tagged_pieces(self.strata)
-
-    def to_json(self) -> dict:
-        return {
-            "oracle": self.oracle.to_json(),
-            "truncation_depth": self.truncation_depth,
-            "sets": [s.to_json() for s in self.sets],
-            "base_scales": [frac_str(s) for s in self.base_scales],
-        }
 
 
 @dataclass(frozen=True)
@@ -438,11 +420,10 @@ def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
 
     Sound because every materialized set keeps a positive infimum, so any
     set with infimum zero escapes all of them; covers whose sets dip to the
-    ground's infimum are not detectable and must fail loudly instead.
+    ground's infimum are not detectable and must fail loudly instead.  Sets
+    are clamped to (0, 1), so a lower end at 0 is always open.
     """
-    if a.inf_cut != GROUND_LOWER:
-        return False
-    return all(s.inf_cut > GROUND_LOWER for s in c.sets)
+    return a.intervals[0].lo == 0 and all(s.intervals[0].lo > 0 for s in c.sets)
 
 
 def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | None]:
@@ -810,18 +791,18 @@ def dense_scenario(
     return cover, cert
 
 
-def random_interval_sets(seed: int, count: int, denominator: int = 64) -> list[RationalIntervalSet]:
+def random_interval_sets(seed: int, count: int) -> list[RationalIntervalSet]:
     """Seeded probe family: unions of up to three intervals on a rational grid."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         pieces = []
         for _ in range(rng.randint(1, 3)):
-            a, b = sorted(rng.sample(range(1, denominator), 2))
+            a, b = sorted(rng.sample(range(1, 64), 2))
             pieces.append(
                 Interval(
-                    Fraction(a, denominator),
-                    Fraction(b, denominator),
+                    Fraction(a, 64),
+                    Fraction(b, 64),
                     rng.random() < 0.5,
                     rng.random() < 0.5,
                 )

@@ -357,10 +357,3 @@ class TestHausdorff:
     def test_powerset_labels(self):
         pg = powerset_ground(G2)
         assert pg.labels == ("{}", "{a}", "{b}", "{a,b}")
-
-    def test_hyper_json_masks_as_keys(self):
-        h = hyper_h(Relation.identity(G2))
-        data = h.to_json()
-        assert data["n"] == 2 and set(data["rows"]) == {"0", "1", "2", "3"}
-        assert data["rows"]["0"] == "1000"  # only the empty set follows the empty set
-        assert data["rows"]["3"] == "0001"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qusp.intervals import (
-    EMPTY,
     GROUND,
     Interval,
     RationalIntervalSet,
@@ -169,19 +168,6 @@ class TestPickPoint:
         else:
             assert a.pick_point() in a
 
-    def test_near_endpoints(self):
-        a = iv(F(1, 4), F(3, 4))
-        low = a.point_near_inf(F(1, 100))
-        high = a.point_near_sup(F(1, 100))
-        assert low in a and high in a
-        assert low - F(1, 4) <= F(1, 100)
-        assert F(3, 4) - high <= F(1, 100)
-
-    def test_closed_endpoints_returned_exactly(self):
-        a = iv(F(1, 4), F(3, 4), lo_open=False, hi_open=False)
-        assert a.point_near_inf(F(1, 10)) == F(1, 4)
-        assert a.point_near_sup(F(1, 10)) == F(3, 4)
-
 
 class TestMisc:
     def test_json_round_trip(self):
@@ -200,12 +186,6 @@ class TestMisc:
             parse_frac("0.5")
         assert parse_frac("3/6") == F(1, 2)
         assert parse_frac("2") == 2
-
-    def test_inf_sup_cuts(self):
-        a = iv(F(1, 4), F(3, 4), lo_open=False)
-        assert a.inf_cut == (F(1, 4), 0)
-        assert a.sup_cut == (F(3, 4), -1)
-        assert EMPTY.inf_cut is None
 
     def test_interval_is_immutable_and_copies(self):
         piece = Interval(F(1, 3), F(5, 7), lo_open=False)

@@ -28,13 +28,13 @@ class TestWeightFunction:
     def test_constant_preorder(self):
         r = Relation.from_pairs(G2, [("a", "b")], reflexive=True)
         seq = NormalSequence(G2, (r, r, r))
-        w = weight_function(seq, F(1))
+        w = weight_function(seq)
         assert w[0][1] == 0  # in every level, stable tail
-        assert w[1][0] == 1  # off the ladder: cap
+        assert w[1][0] == 1  # off the ladder
         assert w[0][0] == 0 and w[1][1] == 0
 
     def test_two_point_ladder(self):
-        w = weight_function(two_point_ladder(), F(1))
+        w = weight_function(two_point_ladder())
         assert w[0][1] == F(1, 2)  # deepest membership at level 1
         assert w[1][0] == 1  # only level 0 (the full relation)
 
@@ -52,10 +52,6 @@ class TestWeightFunction:
         seq = NormalSequence(chain.ground, (top, chain))
         w = weight_function(seq)
         assert w[0][1] == F(1, 2)  # not zero: tail is not transitive
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            weight_function(two_point_ladder(), F(0))
 
 
 class TestKelleyMetric:
@@ -116,8 +112,9 @@ class TestKelleyMetric:
         # depth 7 keeps the identity as the subsampled bottom level, away from
         # the transitive-tail weighting edge
         for seed in range(20):
-            ladder = random_normal_sequence(seed, 5, 7, identity_bottom=True)
-            sub = every_second_level(ladder)
+            ladder = random_normal_sequence(seed, 5, 7)
+            g = ladder.ground
+            sub = every_second_level(NormalSequence(g, ladder.levels[:-1] + (Relation.identity(g),)))
             widened = NormalSequence(
                 sub.ground, (Relation.full(sub.ground),) + sub.levels[:-1]
             )
@@ -128,11 +125,6 @@ class TestKelleyMetric:
 
 
 class TestMetricOps:
-    def q(self):
-        return FiniteQuasiPseudometric(
-            ground("a", "b"), ((F(0), F(1, 2)), (F(1), F(0)))
-        )
-
     def test_axioms_validated(self):
         with pytest.raises(ValueError, match="triangle"):
             FiniteQuasiPseudometric(
@@ -145,10 +137,6 @@ class TestMetricOps:
             )
         with pytest.raises(ValueError, match="self-distance"):
             FiniteQuasiPseudometric(G2, ((F(1), F(1)), (F(1), F(0))))
-
-    def test_json_round_trip(self):
-        q = self.q()
-        assert FiniteQuasiPseudometric.from_json(q.to_json()) == q
 
 
 class TestEverySecondLevel:
@@ -187,11 +175,10 @@ class TestTrustedLadders:
         seed=st.integers(0, 10**6),
         n=st.integers(1, 8),
         depth=st.integers(1, 12),
-        identity_bottom=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_trusted_ladders_pass_the_full_checks(self, seed, n, depth, identity_bottom):
-        ladder = random_normal_sequence(seed, n, depth, identity_bottom)
+    def test_trusted_ladders_pass_the_full_checks(self, seed, n, depth):
+        ladder = random_normal_sequence(seed, n, depth)
         sub = every_second_level(ladder)
         for seq in (ladder, sub):
             assert reference_is_normal(seq)
@@ -204,7 +191,7 @@ class TestTrustedLadders:
 
     def test_subsampling_equals_the_checked_construction(self):
         for seed in range(20):
-            ladder = random_normal_sequence(seed, 2 + seed % 7, 1 + seed % 12, seed % 2 == 0)
+            ladder = random_normal_sequence(seed, 2 + seed % 7, 1 + seed % 12)
             sub = every_second_level(ladder)
             checked = NormalSequence(ladder.ground, ladder.levels[::2])
             assert sub == checked
@@ -296,13 +283,12 @@ class TestIntegerFastPaths:
         seed=st.integers(0, 10**6),
         n=st.integers(1, 7),
         depth=st.integers(1, 8),
-        cap=st.sampled_from((F(1), F(3, 7), F(5, 2))),
     )
     @settings(max_examples=150, deadline=None)
-    def test_kelley_metric_matches_fraction_floyd_warshall(self, seed, n, depth, cap):
+    def test_kelley_metric_matches_fraction_floyd_warshall(self, seed, n, depth):
         sub = every_second_level(random_normal_sequence(seed, n, depth))
-        expected = reference_floyd_warshall(weight_function(sub, cap))
-        got = kelley_metric(sub, cap).dist
+        expected = reference_floyd_warshall(weight_function(sub))
+        got = kelley_metric(sub).dist
         assert got == expected
         assert all(type(v) is F for row in got for v in row)
 
@@ -367,21 +353,13 @@ class TestIntegerFastPaths:
         b = FiniteQuasiPseudometric(G2, ((F(0), F(2, 4)), (F(3, 3), F(0))))
         assert a == b and hash(a) == hash(b)
         assert "_units" not in repr(a) and "_scale" not in repr(a)
-        assert a.to_json() == b.to_json() and set(a.to_json()) == {"labels", "dist"}
+        assert a.dist == b.dist
 
 
 class TestFloatsRejected:
     def test_metric_entry(self):
         with pytest.raises(TypeError, match="0.3"):
             FiniteQuasiPseudometric(G2, ((F(0), 0.3), (F(1), F(0))))
-
-    def test_weight_function_cap(self):
-        with pytest.raises(TypeError, match="0.5"):
-            weight_function(two_point_ladder(), 0.5)
-
-    def test_kelley_metric_cap(self):
-        with pytest.raises(TypeError, match="0.25"):
-            kelley_metric(two_point_ladder(), 0.25)
 
     def test_entourage_threshold(self):
         q = kelley_metric(two_point_ladder())

@@ -31,6 +31,7 @@ from qusp.ratcover import (
     cover_normal_sequence,
     cover_successor_of_point,
     dense_scenario,
+    probe_indices,
     random_interval_sets,
     refined_base,
     star_cover,
@@ -109,32 +110,60 @@ class TestOracleImages:
             MetricOracle("manhattan")
 
 
+# Sets against the scale 1/4, each with its verdict: the span decides,
+# and a span of exactly 1/4 is small unless both extreme ends are closed.
+SMALLNESS_CASES = {
+    "empty": (EMPTY, True),
+    "closed_point": (point(F(1, 2)), True),
+    "span_below": (iv(F(1, 4), F(3, 8), lo_open=False, hi_open=False), True),
+    "span_equal_closed_closed": (iv(F(1, 4), F(1, 2), lo_open=False, hi_open=False), False),
+    "span_equal_open_closed": (iv(F(1, 4), F(1, 2), lo_open=True, hi_open=False), True),
+    "span_equal_closed_open": (iv(F(1, 4), F(1, 2), lo_open=False, hi_open=True), True),
+    "span_equal_open_open": (iv(F(1, 4), F(1, 2)), True),
+    "span_above": (iv(F(1, 4), F(5, 8)), False),
+    "components_closed_extremes": (iv(F(1, 4), F(5, 16), lo_open=False) | iv(F(7, 16), F(1, 2), hi_open=False), False),
+    "components_open_bottom": (iv(F(1, 4), F(5, 16), hi_open=False) | iv(F(7, 16), F(1, 2), False, False), True),
+    "components_open_top": (iv(F(1, 4), F(5, 16), False, False) | iv(F(7, 16), F(1, 2), lo_open=False), True),
+}
+ORACLE_KINDS = pytest.mark.parametrize("oracle", [EUCLID, UPPER, LOWER], ids=lambda o: o.kind)
+
+
 class TestSmallness:
     def test_half_open_at_exact_scale(self):
         assert EUCLID.is_small(iv(0, F(1, 4)), F(1, 4))
         assert EUCLID.is_small(iv(F(1, 4), F(1, 2), lo_open=False), F(1, 4))
         assert not EUCLID.is_small(iv(F(1, 4), F(1, 2), lo_open=False, hi_open=False), F(1, 4))
 
-    def test_witness_pair_is_exact(self):
-        a = iv(F(1, 8), F(7, 8))
-        for oracle in (EUCLID, UPPER, LOWER):
-            pair = oracle.small_violation(a, F(1, 4))
-            assert pair is not None
-            x, y = pair
-            assert x in a and y in a
-            assert oracle.dist(x, y) >= F(1, 4)
-
-    def test_one_sided_orientation(self):
-        a = iv(F(1, 8), F(7, 8))
-        x, y = LOWER.small_violation(a, F(1, 2))
-        assert x > y  # lower oracle charges downward moves
-        x2, y2 = UPPER.small_violation(a, F(1, 2))
-        assert y2 > x2
-
     def test_multi_component_span(self):
         a = iv(F(1, 8), F(1, 4)) | iv(F(3, 4), F(7, 8))
         assert not EUCLID.is_small(a, F(1, 2))
         assert EUCLID.is_small(a, F(7, 8))
+
+    @ORACLE_KINDS
+    @pytest.mark.parametrize("a, small", SMALLNESS_CASES.values(), ids=SMALLNESS_CASES.keys())
+    def test_span_decides(self, oracle, a, small):
+        assert oracle.is_small(a, F(1, 4)) is small
+
+    @ORACLE_KINDS
+    def test_scale_must_be_a_positive_rational(self, oracle):
+        a = iv(F(1, 4), F(1, 2))
+        for eps in (F(0), F(-1, 4)):
+            with pytest.raises(ValueError, match="positive"):
+                oracle.is_small(a, eps)
+        with pytest.raises(TypeError, match="0.25"):
+            oracle.is_small(a, 0.25)
+
+
+class TestCofinality:
+    def test_probe_reaching_zero_escapes_every_set(self):
+        cover = flagship(depth=8)
+        assert probe_indices(cover, iv(0, F(3, 4))) == (0, None)
+        assert probe_indices(cover, iv(F(1, 8), F(3, 4))) == (0, 3)
+
+    def test_cover_dipping_to_zero_cannot_tell(self):
+        cover = OmegaCover(EUCLID, (iv(0, F(1, 4)), iv(0, F(1, 2)), iv(0, F(3, 4))), (F(1, 8),) * 3)
+        with pytest.raises(CoverError, match="cofinal"):
+            probe_indices(cover, iv(0, F(7, 8)))
 
 
 class TestChainCover:
@@ -881,16 +910,6 @@ class TestConnectivity:
         assert cert["passed"] and cert["fixed_set"] is None
 
 
-class TestSerialization:
-    def test_cover_json(self):
-        cover = flagship(depth=4)
-        data = cover.to_json()
-        assert data["oracle"] == {"kind": "euclid"}
-        assert data["truncation_depth"] == 4
-        assert len(data["sets"]) == 5 and len(data["base_scales"]) == 5
-        assert data["base_scales"][0] == "1/4"
-
-
 class TestProbeGeneration:
     def test_deterministic(self):
         assert random_interval_sets(42, 5) == random_interval_sets(42, 5)
@@ -898,4 +917,4 @@ class TestProbeGeneration:
     def test_all_nonempty_and_bounded(self):
         for probe in random_interval_sets(7, 20):
             assert not probe.is_empty
-            assert probe.inf_cut[0] >= F(1, 64)
+            assert probe.intervals[0].lo >= F(1, 64)
