@@ -41,7 +41,7 @@ from .ratcover import (
     refined_base,
 )
 from .relcore import inverse, iter_bits
-from .serialize import canonical_json_bytes, digest, frac_str, parse_frac
+from .serialize import _positive, canonical_json_bytes, digest, frac_str, parse_frac
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -138,12 +138,9 @@ def _load_quniform(data: dict) -> FiniteQuasiUniformity:
 def _parse_scales(scenario: dict, key: str, default: list[str]) -> list[Fraction]:
     raw = scenario.get(key, default)
     try:
-        scales = [parse_frac(s) for s in raw]
+        return [_positive(parse_frac(s), f"{key}: every scale") for s in raw]
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    if any(s <= 0 for s in scales):
-        raise InputProblem(f"{key}: every scale must be positive")
-    return scales
 
 
 def _run_finite_compare(scenario: dict) -> tuple[int, dict, list]:

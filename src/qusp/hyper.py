@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quniform import FiniteQuasiUniformity
-from .relcore import GroundSet, Relation, image, iter_bits
+from .relcore import GroundSet, Relation, _check_same_ground, image, iter_bits
 
 MAX_HYPER_GROUND = 16
 MAX_ENUMERATE = 5
@@ -139,8 +139,7 @@ def qh_local_criterion(u: Relation, v: Relation, a: int) -> bool:
     y in a with image(u, {y}) inside image(v, {x}).  For reflexive u, v this
     is equivalent to containment of the hyper_h successor sets at a.
     """
-    if u.ground != v.ground:
-        raise ValueError("relations live on different ground sets")
+    _check_same_ground(u, v)
     if image(u, a) & ~image(v, a):
         return False
     for x in iter_bits(a):

@@ -288,9 +288,6 @@ class RationalIntervalSet:
                 return False
         return True
 
-    def proper_subset_of(self, other: "RationalIntervalSet") -> bool:
-        return self <= other and self != other
-
     def widened(self, below: Fraction, above: Fraction) -> "RationalIntervalSet":
         """Union of the open intervals (lo - below, hi + above) over the pieces, clamped to (0, 1).
 
@@ -329,10 +326,6 @@ class RationalIntervalSet:
 
     def to_json(self) -> dict:
         return {"intervals": [iv.to_json() for iv in self.intervals]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalIntervalSet":
-        return cls(tuple(Interval.from_json(item) for item in data["intervals"]))
 
     def __str__(self) -> str:
         if self.is_empty:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .relcore import GroundSet, NormalSequence, Relation, compose
-from .serialize import _exact
+from .serialize import _exact, _positive
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -195,9 +195,7 @@ def entourage_at(q: FiniteQuasiPseudometric, eps: Fraction) -> Relation:
     Decided on the metric's integer units: units / D < p / r exactly when
     units * r < p * D.
     """
-    eps = _exact(eps, "threshold")
-    if eps <= 0:
-        raise ValueError("threshold must be positive")
+    eps = _positive(eps, "threshold")
     den = eps.denominator
     bound = eps.numerator * q._scale
     return Relation(

@@ -29,7 +29,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 from .intervals import (
     GROUND,
@@ -42,7 +41,7 @@ from .intervals import (
     tagged_pieces,
     tags_of_sorted,
 )
-from .serialize import _exact, frac_str
+from .serialize import _exact, _positive, frac_str
 
 DEFAULT_TRUNCATION_DEPTH = 64
 DEFAULT_GRID = 1 << 10
@@ -95,9 +94,7 @@ class MetricOracle:
         width of the ground, on the unbounded side, which stretches every
         piece to the ground's edge.
         """
-        eps = _exact(eps, "entourage scale")
-        if eps <= 0:
-            raise ValueError("entourage scale must be positive")
+        eps = _positive(eps, "entourage scale")
         if self.kind == "euclid":
             return a.widened(eps, eps)
         if self.kind == "upper":
@@ -117,9 +114,7 @@ class MetricOracle:
         reach it only when both extreme ends are closed.  So a nonempty a is
         small iff its span is below eps, or equals eps with an open extreme.
         """
-        eps = _exact(eps, "smallness scale")
-        if eps <= 0:
-            raise ValueError("smallness scale must be positive")
+        eps = _positive(eps, "smallness scale")
         if a.is_empty:
             return True
         first, last = a.intervals[0], a.intervals[-1]
@@ -160,7 +155,7 @@ class OmegaCover:
             raise CoverError("one ladder scale per materialized set required")
         for n, s in enumerate(self.sets):
             if not isinstance(s, RationalIntervalSet):
-                raise CoverError(f"set generator returned a non interval set at n={n}")
+                raise CoverError(f"cover set {n} is not an interval set")
             if s.is_empty:
                 raise CoverError(f"cover set {n} is empty")
             if s == GROUND:
@@ -171,7 +166,7 @@ class OmegaCover:
             if n and scale > self.base_scales[n - 1]:
                 raise CoverError(f"ladder scales increase at n={n}")
         for n in range(len(self.sets) - 1):
-            if not self.sets[n].proper_subset_of(self.sets[n + 1]):
+            if not (self.sets[n] <= self.sets[n + 1] and self.sets[n] != self.sets[n + 1]):
                 raise CoverError(f"not strictly increasing at n={n}")
             img = self.oracle.image(self.base_scales[n], self.sets[n])
             if not img <= self.sets[n + 1]:
@@ -259,22 +254,6 @@ class StarTower:
         return StarTower(self.covers[: depth + 1], cert)
 
 
-def chain_cover_from_sequence(oracle, sets_fn, witness_scales_fn, depth: int = DEFAULT_TRUNCATION_DEPTH) -> OmegaCover:
-    """Build a cover from a strictly increasing chain with explicit scale witnesses.
-
-    Materializes indices 0..depth and lays the ladder down as the running
-    minimum of the witness scales (so it is nonincreasing).  `OmegaCover`
-    validates the result, so its checks apply to that ladder, not to each
-    raw witness: a witness too large for its own step passes when an
-    earlier, smaller one masks it.
-    """
-    if depth < 1:
-        raise CoverError("truncation depth must be at least 1")
-    sets = tuple(sets_fn(n) for n in range(depth + 1))
-    witness = (_exact(witness_scales_fn(n), "witness scale") for n in range(depth + 1))
-    return OmegaCover(oracle, sets, tuple(accumulate(witness, min)))
-
-
 def cover_successor_of_point(c: OmegaCover, x: Fraction) -> RationalIntervalSet:
     """Successor of the smallest cover element containing x (the layer's relation)."""
     x = _exact(x, "point")
@@ -288,29 +267,17 @@ def cover_successor_of_point(c: OmegaCover, x: Fraction) -> RationalIntervalSet:
     return c.sets[n + 1]
 
 
-def uniformly_isolated_witness(oracle: MetricOracle, eps: Fraction, a: RationalIntervalSet) -> RationalIntervalSet | None:
-    """The set itself when the scale-eps image fixes it, else None.
+def connectivity_certificate(oracle: MetricOracle, eps: Fraction, probes: list[RationalIntervalSet]) -> dict:
+    """Look for a probe that its own scale-eps image fixes.
 
     The image always contains the set (zero self-distance), so a fixed set
     is one whose image adds nothing; on the interval subclass that requires
     every frontier to absorb an exact eps-expansion, which only the empty
-    set and the full ground manage.  By the same frontier argument, a
-    nonempty set's scale-eps image equals its scale-2eps image only when
-    both are the ground.
+    set and the full ground manage, so those two are skipped.  By the same
+    frontier argument, a nonempty set's scale-eps image equals its
+    scale-2eps image only when both are the ground.
     """
-    img = oracle.image(eps, a)
-    return a if img == a else None
-
-
-def connectivity_certificate(oracle: MetricOracle, eps: Fraction, probes: list[RationalIntervalSet]) -> dict:
-    fixed = None
-    for p in probes:
-        if p.is_empty or p == GROUND:
-            continue
-        w = uniformly_isolated_witness(oracle, eps, p)
-        if w is not None:
-            fixed = w
-            break
+    fixed = next((p for p in probes if not p.is_empty and p != GROUND and oracle.image(eps, p) == p), None)
     return {
         "kind": "uniform_connectivity",
         "rule": "frontier expansion on the interval subclass",
@@ -331,7 +298,7 @@ def star_cover(c: OmegaCover) -> OmegaCover:
     always passes validation: img_n lies between G_n and the full-scale
     image, which lies inside G_{n+1}; img_n equal to G_n, or to G_{n+1}
     and so to the full-scale image, would make img_n the ground under
-    every oracle (see `uniformly_isolated_witness`), and no cover set is.
+    every oracle (see `connectivity_certificate`), and no cover set is.
     """
     depth = c.truncation_depth
     new_sets: list[RationalIntervalSet] = []
@@ -524,9 +491,7 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
     """
     if a.is_empty:
         raise ValueError("probe subset must be nonempty")
-    v = _exact(v_scale, "entourage scale")
-    if v <= 0:
-        raise ValueError("entourage scale must be positive")
+    v = _positive(v_scale, "entourage scale")
     delta = v / 2
     depth = c.truncation_depth
     n_cont = c.min_index_containing(a)
@@ -628,9 +593,7 @@ def cert_boundedhaus(c: OmegaCover, u_scale: Fraction) -> dict:
     finitely many small pieces.  Every piece is re-verified small and the
     pieces are re-verified to reunite to the complement.
     """
-    eps = _exact(u_scale, "entourage scale")
-    if eps <= 0:
-        raise ValueError("entourage scale must be positive")
+    eps = _positive(u_scale, "entourage scale")
     for n in range(c.truncation_depth + 1):
         comp = c.sets[n].complement()
         if all(c.oracle.is_small(RationalIntervalSet.of(p), eps) for p in comp.intervals):
@@ -668,9 +631,7 @@ def cert_not_entourage(c: OmegaCover, probe_scales: list[Fraction]) -> dict:
     witnesses = []
     ok = True
     for eps_raw in probe_scales:
-        eps = _exact(eps_raw, "probe scale")
-        if eps <= 0:
-            raise ValueError("probe scales must be positive")
+        eps = _positive(eps_raw, "probe scale")
         found = None
         for n in range(c.truncation_depth):
             stratum = c.strata[n]
@@ -762,19 +723,12 @@ def dense_scenario(
     the whole ground, a connectivity check, and small decompositions of the
     complements at any requested scales.
     """
-    eps = _exact(eps, "radius")
+    eps = _positive(eps, "radius")
     if eps >= 1:
         raise ValueError("radius covers the whole ground: need eps < 1")
-    if eps <= 0:
-        raise ValueError("need a positive radius")
-
-    def sets_fn(n: int) -> RationalIntervalSet:
-        return iv(eps / (n + 1), 1)
-
-    def scales_fn(n: int) -> Fraction:
-        return eps / (n + 1) - eps / (n + 2)
-
-    cover = chain_cover_from_sequence(EUCLID, sets_fn, scales_fn, depth)
+    sets = tuple(iv(eps / (n + 1), 1) for n in range(depth + 1))
+    gaps = tuple(eps / (n + 1) - eps / (n + 2) for n in range(depth + 1))
+    cover = OmegaCover(EUCLID, sets, gaps)
     conn = connectivity_certificate(EUCLID, cover.scale(0, 0), list(cover.sets[:8]))
     bounded = [cert_boundedhaus(cover, s) for s in bounded_scales]
     cert = {
@@ -782,7 +736,7 @@ def dense_scenario(
         "eps": frac_str(eps),
         "truncation_depth": depth,
         "strictly_increasing": True,
-        "chain_witness_scales": [frac_str(scales_fn(n)) for n in range(min(depth, 8))],
+        "chain_witness_scales": [frac_str(g) for g in gaps[: min(depth, 8)]],
         "no_set_is_ground": True,
         "connectivity": conn,
         "bounded": bounded,
@@ -795,7 +749,7 @@ def random_interval_sets(seed: int, count: int) -> list[RationalIntervalSet]:
     """Seeded probe family: unions of up to three intervals on a rational grid."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    for _ in range(count):
         pieces = []
         for _ in range(rng.randint(1, 3)):
             a, b = sorted(rng.sample(range(1, 64), 2))
@@ -807,7 +761,5 @@ def random_interval_sets(seed: int, count: int) -> list[RationalIntervalSet]:
                     rng.random() < 0.5,
                 )
             )
-        candidate = RationalIntervalSet(tuple(pieces))
-        if not candidate.is_empty:
-            out.append(candidate)
+        out.append(RationalIntervalSet(tuple(pieces)))
     return out

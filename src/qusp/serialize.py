@@ -26,6 +26,14 @@ def _exact(value, what: str) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _positive(value, what: str) -> Fraction:
+    """``value`` as a positive Fraction: the one place a scale's sign is checked."""
+    value = _exact(value, what)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
 def parse_frac(text: str) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise ValueError(f"malformed rational {text!r}, expected 'p/q' or 'p'")

@@ -26,7 +26,6 @@ from qusp.ratcover import (
     cert_monotonecover,
     cert_monotonehaus,
     cert_not_entourage,
-    chain_cover_from_sequence,
     connectivity_certificate,
     cover_normal_sequence,
     cover_successor_of_point,
@@ -35,7 +34,6 @@ from qusp.ratcover import (
     random_interval_sets,
     refined_base,
     star_cover,
-    uniformly_isolated_witness,
 )
 from qusp.ratcover import _double_successor_containments
 from qusp.serialize import frac_str, parse_frac
@@ -175,49 +173,24 @@ class TestChainCover:
 
     def test_constant_sets_rejected(self):
         with pytest.raises(CoverError, match="strictly increasing"):
-            chain_cover_from_sequence(
-                EUCLID, lambda n: iv(F(1, 2), 1), lambda n: F(1, 8), depth=4
-            )
+            OmegaCover(EUCLID, (iv(F(1, 2), 1),) * 5, (F(1, 8),) * 5)
 
     def test_oversized_scales_rejected(self):
         with pytest.raises(CoverError, match="witness fails at n="):
-            chain_cover_from_sequence(
-                EUCLID,
-                lambda n: iv(F(1, n + 2), 1),
-                lambda n: F(1, 2),
-                depth=4,
-            )
+            OmegaCover(EUCLID, tuple(iv(F(1, n + 2), 1) for n in range(5)), (F(1, 2),) * 5)
 
     def test_non_interval_set_rejected(self):
-        with pytest.raises(CoverError, match="non interval set at n=0"):
-            chain_cover_from_sequence(EUCLID, lambda n: (F(1, n + 2), 1), lambda n: F(1, 100), depth=4)
-
-    def test_ladder_is_running_minimum_of_witnesses(self):
-        # The witness at n=1 is too large for its own step, but the smaller
-        # one at n=0 masks it; no set past the truncation depth is built.
-        def sets_fn(n):
-            assert n <= 4
-            return iv(F(1, n + 2), 1)
-
-        cover = chain_cover_from_sequence(EUCLID, sets_fn, lambda n: F(1, 2) if n == 1 else F(1, 100), depth=4)
-        assert cover.base_scales == (F(1, 100),) * 5
+        with pytest.raises(CoverError, match="cover set 0 is not an interval set"):
+            OmegaCover(EUCLID, tuple((F(1, n + 2), 1) for n in range(5)), (F(1, 100),) * 5)
 
     def test_upper_oracle_chain(self):
-        cover = chain_cover_from_sequence(
-            UPPER,
-            lambda n: iv(0, 1 - F(1, n + 2)),
-            lambda n: F(1, n + 2) - F(1, n + 3),
-            depth=16,
-        )
+        sets = tuple(iv(0, 1 - F(1, n + 2)) for n in range(17))
+        cover = OmegaCover(UPPER, sets, tuple(F(1, n + 2) - F(1, n + 3) for n in range(17)))
         assert cover.sets[0] == iv(0, F(1, 2))
 
     def test_lower_oracle_chain(self):
-        cover = chain_cover_from_sequence(
-            LOWER,
-            lambda n: iv(F(1, n + 2), 1),
-            lambda n: F(1, n + 2) - F(1, n + 3),
-            depth=16,
-        )
+        sets = tuple(iv(F(1, n + 2), 1) for n in range(17))
+        cover = OmegaCover(LOWER, sets, tuple(F(1, n + 2) - F(1, n + 3) for n in range(17)))
         assert cover.sets[0] == iv(F(1, 2), 1)
 
     def test_cover_construction_validates_ladder_and_witnesses(self):
@@ -272,7 +245,7 @@ class TestStarCover:
             img = EUCLID.image(cover.scale(n, 1), cover.sets[n])
             assert star.sets[2 * n] == cover.sets[n]
             assert star.sets[2 * n + 1] == img
-            assert cover.sets[n].proper_subset_of(img)
+            assert cover.sets[n] <= img and cover.sets[n] != img
             assert img <= cover.sets[n + 1]
 
     def test_double_star_keeps_omega_shape(self):
@@ -280,7 +253,7 @@ class TestStarCover:
         twice = star_cover(star_cover(cover))
         assert twice.truncation_depth == 2 * (2 * 8)
         for n in range(twice.truncation_depth):
-            assert twice.sets[n].proper_subset_of(twice.sets[n + 1])
+            assert twice.sets[n] <= twice.sets[n + 1] and twice.sets[n] != twice.sets[n + 1]
 
     def test_squared_relation_containment_on_grid(self):
         cover = flagship(depth=32)
@@ -685,10 +658,6 @@ class TestFloatsRejected:
         with pytest.raises(TypeError, match="0.125"):
             OmegaCover(EUCLID, (iv(F(1, 2), 1), iv(F(1, 4), 1)), (0.125, F(1, 8)))
 
-    def test_chain_witnesses(self):
-        with pytest.raises(TypeError, match="0.01"):
-            chain_cover_from_sequence(EUCLID, lambda n: iv(F(1, 2 + n), 1), lambda n: 0.01, depth=2)
-
     def test_certificate_scales(self):
         cover = flagship(depth=8)
         probe = iv(F(1, 4), F(1, 2))
@@ -797,12 +766,8 @@ class TestBoundedHausCert:
             assert EUCLID.is_small(RationalIntervalSet.of(p), F(1, 256))
 
     def test_lower_oracle_one_sided(self):
-        cover = chain_cover_from_sequence(
-            LOWER,
-            lambda n: iv(F(1, n + 2), 1),
-            lambda n: F(1, n + 2) - F(1, n + 3),
-            depth=16,
-        )
+        sets = tuple(iv(F(1, n + 2), 1) for n in range(17))
+        cover = OmegaCover(LOWER, sets, tuple(F(1, n + 2) - F(1, n + 3) for n in range(17)))
         cert = cert_boundedhaus(cover, F(1, 8))
         assert cert["passed"]
         for p in cert["pieces"]:
@@ -901,7 +866,7 @@ class TestConnectivity:
         # the scale leaves unchanged is the ground.
         assume(probe != GROUND)
         eps = F(num, DEN)
-        assert uniformly_isolated_witness(oracle, eps, probe) is None
+        assert oracle.image(eps, probe) != probe
         img = oracle.image(eps, probe)
         assert img == GROUND or img != oracle.image(2 * eps, probe)
 
