@@ -129,7 +129,7 @@ def hausdorff_of(q: FiniteQuasiUniformity) -> FiniteQuasiUniformity:
     by the derived entourages is again principal, and hyper_h of a preorder
     is a preorder on P(X).
     """
-    return FiniteQuasiUniformity(powerset_ground(q.ground), hyper_as_relation(hyper_h(q.min_entourage)))
+    return FiniteQuasiUniformity(hyper_as_relation(hyper_h(q.min_entourage)))
 
 
 def qh_local_criterion(u: Relation, v: Relation, a: int) -> bool:
@@ -170,8 +170,7 @@ def qh_equivalent(q1: FiniteQuasiUniformity, q2: FiniteQuasiUniformity) -> QHVer
     ``hyper_h(q1.min) <= hyper_h(q2.min)``.  The counterexample is the first
     subset mask whose successor rows differ in the failing direction.
     """
-    if q1.ground != q2.ground:
-        raise ValueError("quasi-uniformities live on different ground sets")
+    _check_same_ground(q1.min_entourage, q2.min_entourage)
     h1 = hyper_h(q1.min_entourage)
     h2 = hyper_h(q2.min_entourage)
     forward = h1 <= h2

@@ -108,7 +108,7 @@ def every_second_level(seq: NormalSequence) -> NormalSequence:
     docstring).  The result records the quadruple condition, so
     `kelley_metric` does not check it again.
     """
-    return NormalSequence._trusted(seq.ground, seq.levels[::2], quadruple=True)
+    return NormalSequence._trusted(seq.levels[::2], quadruple=True)
 
 
 def weight_function(seq: NormalSequence) -> Matrix:
@@ -230,4 +230,4 @@ def random_normal_sequence(seed: int, n: int, depth: int) -> NormalSequence:
     for _ in range(depth - 1):
         current = compose(current, current) | sprinkle(0.08)
         levels.append(current)
-    return NormalSequence._trusted(g, tuple(reversed(levels)))
+    return NormalSequence._trusted(tuple(reversed(levels)))

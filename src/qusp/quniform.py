@@ -11,6 +11,10 @@ Finite topologies correspond bijectively to preorders through the
 specialization order (x below y iff every open set containing x contains
 y), so topologies are stored by that preorder and their open families are
 only materialized on demand for small grounds.
+
+Both objects hold only their relation and read the ground off it; two of
+them are combined through the relation operators, which refuse relations on
+different grounds.
 """
 
 from __future__ import annotations
@@ -24,46 +28,47 @@ MAX_OPENS_GROUND = 16
 
 @dataclass(frozen=True)
 class FiniteQuasiUniformity:
-    """The up-filter {U : U contains min_entourage} of a preorder."""
+    """The up-filter {U : U contains min_entourage} of a preorder; the ground is read off that preorder."""
 
-    ground: GroundSet
     min_entourage: Relation
 
     def __post_init__(self) -> None:
-        if self.min_entourage.ground != self.ground:
-            raise ValueError("minimum entourage ground mismatch")
         if not is_preorder(self.min_entourage):
             raise ValueError("minimum entourage must be a preorder")
 
+    @property
+    def ground(self) -> GroundSet:
+        return self.min_entourage.ground
+
     @classmethod
     def discrete(cls, g: GroundSet) -> "FiniteQuasiUniformity":
-        return cls(g, Relation.identity(g))
+        return cls(Relation.identity(g))
 
     @classmethod
     def indiscrete(cls, g: GroundSet) -> "FiniteQuasiUniformity":
-        return cls(g, Relation.full(g))
+        return cls(Relation.full(g))
 
     def to_json(self) -> dict:
         return {"min": self.min_entourage.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteQuasiUniformity":
-        rel = Relation.from_json(data["min"])
-        return cls(rel.ground, rel)
+        return cls(Relation.from_json(data["min"]))
 
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A finite topology, stored by its specialization preorder."""
+    """A finite topology, stored by its specialization preorder; the ground is read off that preorder."""
 
-    ground: GroundSet
     specialization: Relation
 
     def __post_init__(self) -> None:
-        if self.specialization.ground != self.ground:
-            raise ValueError("specialization ground mismatch")
         if not is_preorder(self.specialization):
             raise ValueError("specialization must be a preorder")
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.specialization.ground
 
     def is_open(self, subset: int) -> bool:
         return image(self.specialization, subset) & ~subset == 0
@@ -77,18 +82,16 @@ class FiniteTopology:
 
     def is_coarser_than(self, other: "FiniteTopology") -> bool:
         """Every open of self is open in other; equivalent to a specialization containment."""
-        if self.ground != other.ground:
-            raise ValueError("topologies live on different ground sets")
         return other.specialization <= self.specialization
 
 
 def conjugate(q: FiniteQuasiUniformity) -> FiniteQuasiUniformity:
-    return FiniteQuasiUniformity(q.ground, inverse(q.min_entourage))
+    return FiniteQuasiUniformity(inverse(q.min_entourage))
 
 
 def symmetrize(q: FiniteQuasiUniformity) -> FiniteQuasiUniformity:
     sym = q.min_entourage & inverse(q.min_entourage)
-    return FiniteQuasiUniformity(q.ground, sym)
+    return FiniteQuasiUniformity(sym)
 
 
 def topology_of(q: FiniteQuasiUniformity) -> FiniteTopology:
@@ -97,11 +100,9 @@ def topology_of(q: FiniteQuasiUniformity) -> FiniteTopology:
     Open sets are exactly the up-sets of the minimum entourage, whose
     specialization preorder is that entourage itself.
     """
-    return FiniteTopology(q.ground, q.min_entourage)
+    return FiniteTopology(q.min_entourage)
 
 
 def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
     """Coarsest topology refining both: intersect specialization preorders."""
-    if t1.ground != t2.ground:
-        raise ValueError("topologies live on different ground sets")
-    return FiniteTopology(t1.ground, t1.specialization & t2.specialization)
+    return FiniteTopology(t1.specialization & t2.specialization)

@@ -277,11 +277,12 @@ def connectivity_certificate(oracle: MetricOracle, eps: Fraction, probes: list[R
     frontier argument, a nonempty set's scale-eps image equals its
     scale-2eps image only when both are the ground.
     """
+    eps = _positive(eps, "connectivity scale")
     fixed = next((p for p in probes if not p.is_empty and p != GROUND and oracle.image(eps, p) == p), None)
     return {
         "kind": "uniform_connectivity",
         "rule": "frontier expansion on the interval subclass",
-        "scale": frac_str(_exact(eps, "connectivity scale")),
+        "scale": frac_str(eps),
         "probes_checked": len(probes),
         "fixed_set": None if fixed is None else fixed.to_json(),
         "passed": fixed is None,

@@ -193,19 +193,20 @@ def is_preorder(r: Relation) -> bool:
 class NormalSequence:
     """Levels of reflexive relations where each level squared sits in the one above.
 
+    The ground is read off the top level.  Levels on different grounds are
+    refused by the normality check, whose `compose` and `<=` take relations
+    on one ground only.
+
     ``_quadruple`` records that each level to the fourth power sits in the
     one above as well.  Only `_trusted` sets it; it takes no part in
     equality, hashing or repr.
     """
 
-    ground: GroundSet
     levels: tuple[Relation, ...]
     _quadruple: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
-    def _trusted(
-        cls, g: GroundSet, levels: tuple[Relation, ...], quadruple: bool = False
-    ) -> "NormalSequence":
+    def _trusted(cls, levels: tuple[Relation, ...], quadruple: bool = False) -> "NormalSequence":
         """Wrap levels that are normal by construction, skipping validation.
 
         For ladders built in the package whose reflexivity and normality
@@ -213,7 +214,6 @@ class NormalSequence:
         sequence is checked in full.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "ground", g)
         object.__setattr__(out, "levels", levels)
         object.__setattr__(out, "_quadruple", quadruple)
         return out
@@ -223,8 +223,6 @@ class NormalSequence:
         if not self.levels:
             raise ValueError("not a normal sequence: no levels")
         for k, lvl in enumerate(self.levels):
-            if lvl.ground != self.ground:
-                raise ValueError("not a normal sequence: level ground mismatch")
             if not lvl.is_reflexive():
                 raise ValueError(f"not a normal sequence: level {k} is not reflexive")
         for k in range(len(self.levels) - 1):
@@ -233,6 +231,10 @@ class NormalSequence:
                 raise ValueError(
                     f"not a normal sequence: level {k + 1} squared escapes level {k}"
                 )
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.levels[0].ground
 
     @property
     def depth(self) -> int:

@@ -37,7 +37,7 @@ def _positive(value, what: str) -> Fraction:
 def parse_frac(text: str) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise ValueError(f"malformed rational {text!r}, expected 'p/q' or 'p'")
-    if "/" in text and text.split("/")[1] == "0":
+    if "/" in text and int(text.split("/")[1]) == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
     return Fraction(text)
 

@@ -144,7 +144,7 @@ def test_criterion_4_symmetrization_topology_identity():
     checked = 0
     for n in (1, 2, 3):
         for r in enumerate_preorders(n):
-            q = FiniteQuasiUniformity(r.ground, r)
+            q = FiniteQuasiUniformity(r)
             left = topology_of(symmetrize(q))
             right = join_topologies(topology_of(q), topology_of(conjugate(q)))
             ok = ok and left == right

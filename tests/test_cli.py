@@ -221,19 +221,12 @@ class TestExportTopology:
         assert '[label="a=b=c"]' in dot and "->" not in dot
 
     def test_single_edge(self):
-        q = FiniteQuasiUniformity(
-            G2, Relation.from_pairs(G2, [("a", "b")], reflexive=True)
-        )
+        q = FiniteQuasiUniformity(Relation.from_pairs(G2, [("a", "b")], reflexive=True))
         dot = export_topology(q)
         assert "c0 -> c1;" in dot
 
     def test_transitive_reduction(self):
-        q = FiniteQuasiUniformity(
-            G3,
-            Relation.from_pairs(
-                G3, [("a", "b"), ("b", "c"), ("a", "c")], reflexive=True
-            ),
-        )
+        q = FiniteQuasiUniformity(Relation.from_pairs(G3, [("a", "b"), ("b", "c"), ("a", "c")], reflexive=True))
         dot = export_topology(q)
         assert dot.count("->") == 2  # a->b, b->c; the composite edge is reduced away
 
@@ -424,6 +417,22 @@ class TestExitCodes:
         scenario = {"scenario": "dense_witness", "eps": "1/2", "depth": 8, "grid": 16, key: ["1/4", "0"]}
         assert main(["run", write_scenario(tmp_path, "scale.json", scenario)]) == EXIT_INPUT
         assert f"{key}: every scale must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields", [{"eps": "1/00", "depth": 4}, {"eps": "1/2", "scales": ["1/4", "1/000"]}], ids=["eps", "scales"]
+    )
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, fields):
+        path = write_scenario(tmp_path, "zero.json", {"scenario": "dense_witness", **fields})
+        assert main(["run", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "zero denominator" in captured.err and captured.out == ""
+
+    def test_cross_ground_compare_is_input_error(self, tmp_path, capsys):
+        q2 = {"min": rel_json(2, ["a", "c"], ["10", "01"])}
+        path = write_scenario(tmp_path, "cross.json", {"scenario": "finite_compare", "q1": DISCRETE2, "q2": q2})
+        assert main(["run", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "q1 and q2 must share one ground set" in captured.err and captured.out == ""
 
     def test_finite_ground_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
         n = MAX_HYPER_GROUND + 1

@@ -238,7 +238,7 @@ class TestQHComparison:
 
     def test_discrete_is_finest(self):
         for r in enumerate_preorders(3):
-            q = FiniteQuasiUniformity(r.ground, r)
+            q = FiniteQuasiUniformity(r)
             assert qh_equivalent(FiniteQuasiUniformity.discrete(r.ground), q).finer_forward
 
     def test_indiscrete_not_finer_than_discrete(self):
@@ -261,7 +261,7 @@ class TestQHComparison:
         assert 0 <= mask < 4
 
     def test_finer_implies_topology_comparison_n3(self):
-        qs = [FiniteQuasiUniformity(r.ground, r) for r in enumerate_preorders(3)]
+        qs = [FiniteQuasiUniformity(r) for r in enumerate_preorders(3)]
         for q1 in qs:
             for q2 in qs:
                 if qh_equivalent(q1, q2).finer_forward:
@@ -269,7 +269,7 @@ class TestQHComparison:
                     assert topology_of(q2).is_coarser_than(topology_of(q1))
 
     def test_equivalence_forces_equal_topologies_n3(self):
-        qs = [FiniteQuasiUniformity(r.ground, r) for r in enumerate_preorders(3)]
+        qs = [FiniteQuasiUniformity(r) for r in enumerate_preorders(3)]
         for q1 in qs:
             for q2 in qs:
                 if qh_equivalent(q1, q2).equivalent:
@@ -290,7 +290,7 @@ class TestQHComparison:
     def test_verdict_follows_the_reduction(self, pair):
         u, v = pair
         verdict = qh_equivalent(
-            FiniteQuasiUniformity(u.ground, u), FiniteQuasiUniformity(v.ground, v)
+            FiniteQuasiUniformity(u), FiniteQuasiUniformity(v)
         )
         assert verdict.finer_forward == (u <= v)
         assert verdict.finer_backward == (v <= u)
@@ -350,7 +350,7 @@ class TestHausdorff:
 
     def test_iterated_well_formed_n3(self):
         for r in enumerate_preorders(3)[:5]:
-            q = FiniteQuasiUniformity(r.ground, r)
+            q = FiniteQuasiUniformity(r)
             hh = hausdorff_of(hausdorff_of(q))
             assert hh.ground.size == 256
 

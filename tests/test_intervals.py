@@ -180,8 +180,9 @@ class TestMisc:
         assert all(q in GROUND for q in grid)
 
     def test_parse_frac_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_frac("1/0")
+        for text in ("1/0", "1/00", "3/0000", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_frac(text)
         with pytest.raises(ValueError):
             parse_frac("0.5")
         assert parse_frac("3/6") == F(1, 2)

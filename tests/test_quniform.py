@@ -16,11 +16,11 @@ G3 = ground("a", "b", "c")
 
 
 def q_of(g, pairs):
-    return FiniteQuasiUniformity(g, Relation.from_pairs(g, pairs, reflexive=True))
+    return FiniteQuasiUniformity(Relation.from_pairs(g, pairs, reflexive=True))
 
 
 def all_quniforms(n):
-    return [FiniteQuasiUniformity(r.ground, r) for r in enumerate_preorders(n)]
+    return [FiniteQuasiUniformity(r) for r in enumerate_preorders(n)]
 
 
 class TestConjugateSymmetrize:
@@ -95,7 +95,7 @@ class TestValidation:
     def test_min_must_be_preorder(self):
         bad = Relation.from_pairs(G3, [("a", "b"), ("b", "c")], reflexive=True)
         with pytest.raises(ValueError, match="preorder"):
-            FiniteQuasiUniformity(G3, bad)
+            FiniteQuasiUniformity(bad)
 
     def test_json_round_trip(self):
         q = q_of(G3, [("a", "b")])
@@ -104,4 +104,4 @@ class TestValidation:
     def test_topology_specialization_must_be_preorder(self):
         bad = Relation.from_pairs(G3, [("a", "b"), ("b", "c")], reflexive=True)
         with pytest.raises(ValueError):
-            FiniteTopology(G3, bad)
+            FiniteTopology(bad)

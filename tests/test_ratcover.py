@@ -142,15 +142,6 @@ class TestSmallness:
     def test_span_decides(self, oracle, a, small):
         assert oracle.is_small(a, F(1, 4)) is small
 
-    @ORACLE_KINDS
-    def test_scale_must_be_a_positive_rational(self, oracle):
-        a = iv(F(1, 4), F(1, 2))
-        for eps in (F(0), F(-1, 4)):
-            with pytest.raises(ValueError, match="positive"):
-                oracle.is_small(a, eps)
-        with pytest.raises(TypeError, match="0.25"):
-            oracle.is_small(a, 0.25)
-
 
 class TestCofinality:
     def test_probe_reaching_zero_escapes_every_set(self):
@@ -646,31 +637,19 @@ class TestFloatsRejected:
             0.3 in iv(F(1, 4), F(1, 2))
 
     def test_oracle_scales(self):
-        s = iv(F(1, 4), F(1, 2))
+        # `image` and `is_small` are covered by tests/test_refusals.py.
         with pytest.raises(TypeError, match="0.1"):
-            EUCLID.image(0.1, s)
-        with pytest.raises(TypeError, match="0.1"):
-            UPPER.inv_image(0.1, s)
-        with pytest.raises(TypeError, match="0.1"):
-            LOWER.is_small(s, 0.1)
+            UPPER.inv_image(0.1, iv(F(1, 4), F(1, 2)))
 
     def test_cover_base_scales(self):
         with pytest.raises(TypeError, match="0.125"):
             OmegaCover(EUCLID, (iv(F(1, 2), 1), iv(F(1, 4), 1)), (0.125, F(1, 8)))
 
     def test_certificate_scales(self):
-        cover = flagship(depth=8)
+        # The other certificates' scales are covered by tests/test_refusals.py.
         probe = iv(F(1, 4), F(1, 2))
         with pytest.raises(TypeError, match="0.5"):
-            cert_monotonehaus(cover, 0.5, probe)
-        with pytest.raises(TypeError, match="0.5"):
-            cert_boundedhaus(cover, 0.5)
-        with pytest.raises(TypeError, match="0.5"):
-            cert_not_entourage(cover, [0.5])
-        with pytest.raises(TypeError, match="0.5"):
-            connectivity_certificate(EUCLID, 0.5, [probe])
-        with pytest.raises(TypeError, match="0.5"):
-            refined_base(cover_normal_sequence(cover, 0, grid_size=16), [0.5], [probe])
+            refined_base(cover_normal_sequence(flagship(depth=8), 0, grid_size=16), [0.5], [probe])
 
     def test_points_and_radius(self):
         with pytest.raises(TypeError, match="0.3"):
@@ -740,10 +719,6 @@ class TestMonotoneHausCert:
         cert = cert_monotonehaus(flagship(), F(1, 64), probe)
         assert cert["passed"] is False
         assert cert["reason"] == "hypothesis fails for this A"
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            cert_monotonehaus(flagship(), F(0), GROUND)
 
 
 class TestBoundedHausCert:
@@ -844,10 +819,6 @@ class TestDenseScenario:
     def test_eps_one_rejected(self):
         with pytest.raises(ValueError, match="covers the whole ground"):
             dense_scenario(F(1))
-
-    def test_eps_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            dense_scenario(F(0))
 
     def test_bounded_scales_included(self):
         _, cert = dense_scenario(F(1, 2), depth=16, bounded_scales=(F(1, 4),))

@@ -1,12 +1,13 @@
 """Each invariant is refused in one place: every caller of that check, exercised together."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qusp.cli import InputProblem, _parse_scales
 from qusp.hyper import hyper_h, qh_equivalent, qh_local_criterion
-from qusp.intervals import iv
+from qusp.intervals import GROUND, iv
 from qusp.metrize import FiniteQuasiPseudometric, entourage_at
 from qusp.quniform import FiniteQuasiUniformity, FiniteTopology, join_topologies
 from qusp.ratcover import (
@@ -17,9 +18,10 @@ from qusp.ratcover import (
     cert_boundedhaus,
     cert_monotonehaus,
     cert_not_entourage,
+    connectivity_certificate,
     dense_scenario,
 )
-from qusp.relcore import Relation, ground
+from qusp.relcore import NormalSequence, Relation, ground
 
 COVER = dense_scenario(F(1, 2), 8)[0]
 PROBE = iv(F(1, 4), F(1, 2))
@@ -33,6 +35,8 @@ SCALE_SITES = {
     "cert_monotonehaus": lambda s: cert_monotonehaus(COVER, s, PROBE),
     "cert_boundedhaus": lambda s: cert_boundedhaus(COVER, s),
     "cert_not_entourage": lambda s: cert_not_entourage(COVER, [s]),
+    # The ground is skipped without taking an image, so no check in `image` can mask this one.
+    "connectivity_certificate": lambda s: connectivity_certificate(EUCLID, s, [GROUND]),
     "dense_scenario": lambda s: dense_scenario(s, depth=4),
     "entourage_at": lambda s: entourage_at(METRIC, s),
     "_parse_scales": lambda s: _parse_scales({"scales": [str(s)]}, "scales", []),
@@ -69,8 +73,8 @@ G2 = ground("a", "b")
 G3 = ground("a", "b", "c")
 Q2 = FiniteQuasiUniformity.discrete(G2)
 Q3 = FiniteQuasiUniformity.discrete(G3)
-T2 = FiniteTopology(G2, Relation.identity(G2))
-T3 = FiniteTopology(G3, Relation.identity(G3))
+T2 = FiniteTopology(Relation.identity(G2))
+T3 = FiniteTopology(Relation.identity(G3))
 
 CROSS_GROUND = {
     "HyperRelation.__le__": lambda: hyper_h(Relation.identity(G2)) <= hyper_h(Relation.identity(G3)),
@@ -79,10 +83,16 @@ CROSS_GROUND = {
     "qh_equivalent": lambda: qh_equivalent(Q2, Q3),
     "FiniteTopology.is_coarser_than": lambda: T2.is_coarser_than(T3),
     "join_topologies": lambda: join_topologies(T2, T3),
+    "NormalSequence": lambda: NormalSequence((Relation.full(G2), Relation.identity(G3))),
 }
+
+# The only checks that compare grounds: one for relations, two for hyper relations.
+GROUND_CHECKS = {("relcore.py", "_check_same_ground"), ("hyper.py", "__le__"), ("hyper.py", "__and__")}
 
 
 @pytest.mark.parametrize("site", CROSS_GROUND)
 def test_cross_ground_refusals(site):
-    with pytest.raises(ValueError, match="different ground sets"):
+    with pytest.raises(ValueError, match="different ground sets") as info:
         CROSS_GROUND[site]()
+    raised_in = info.traceback[-1]
+    assert (Path(raised_in.path).name, raised_in.name) in GROUND_CHECKS

@@ -165,21 +165,21 @@ class TestNormalSequence:
     def test_levels_must_square_down(self):
         lvl1 = rel3([("a", "b"), ("b", "c")])
         with pytest.raises(ValueError, match="not a normal sequence"):
-            NormalSequence(G3, (lvl1, lvl1))
+            NormalSequence((lvl1, lvl1))
         wide = compose(lvl1, lvl1) | lvl1
-        seq = NormalSequence(G3, (wide, lvl1))
+        seq = NormalSequence((wide, lvl1))
         assert seq.depth == 2
 
     def test_levels_must_be_reflexive(self):
         bare = Relation.from_pairs(G3, [("a", "b")])
         with pytest.raises(ValueError, match="not reflexive"):
-            NormalSequence(G3, (bare,))
+            NormalSequence((bare,))
 
     def test_trusted_record_stays_out_of_equality_hash_and_repr(self):
         wide = compose(rel3([("a", "b"), ("b", "c")]), rel3([("a", "b"), ("b", "c")]))
         levels = (FULL3, wide, DELTA3)
-        trusted = NormalSequence._trusted(G3, levels, quadruple=True)
-        checked = NormalSequence(G3, levels)
+        trusted = NormalSequence._trusted(levels, quadruple=True)
+        checked = NormalSequence(levels)
         assert trusted._quadruple and not checked._quadruple
         assert trusted == checked and hash(trusted) == hash(checked)
         assert repr(trusted) == repr(checked) and "_quadruple" not in repr(trusted)
@@ -188,7 +188,7 @@ class TestNormalSequence:
 
     def test_record_is_not_a_parameter(self):
         with pytest.raises(TypeError):
-            NormalSequence(G3, (DELTA3,), _quadruple=True)
+            NormalSequence((DELTA3,), _quadruple=True)
 
     def test_perturbed_trusted_levels_still_raise(self):
         # Drop from level k one off-diagonal pair of level k + 1: level k + 1
@@ -207,14 +207,14 @@ class TestNormalSequence:
                 levels = list(ladder.levels)
                 levels[k] = Relation(level.ground, tuple(rows))
                 with pytest.raises(ValueError, match=f"level {k + 1} squared escapes level {k}"):
-                    NormalSequence(ladder.ground, tuple(levels))
+                    NormalSequence(tuple(levels))
                 perturbed += 1
         assert perturbed > 20
 
     @given(relations(reflexive=True))
     def test_image_contraction(self, bottom):
         top = compose(bottom, bottom)
-        seq = NormalSequence(bottom.ground, (top, bottom))
+        seq = NormalSequence((top, bottom))
         n = bottom.ground.size
         for a in range(1 << n):
             twice = image(seq.levels[1], image(seq.levels[1], a))
