@@ -7,6 +7,14 @@ path, schema violation, malformed rationals, nonpositive scales, sizes out
 of range), 3 for an internal error: any other exception, reported with its
 traceback on stderr and no report.
 
+Scenarios are checked against ``schemas/scenario.schema.json`` by a small
+interpreter of the JSON Schema keywords that file uses; any other keyword in
+the file is refused when it loads, so a schema edit cannot be silently
+ignored.  Its messages follow ``jsonschema`` (the reference the tests compare
+against, not a runtime dependency) with one difference: an integer field
+takes a JSON integer only, so ``2.0`` is refused where ``jsonschema`` would
+accept it.
+
 Reports are written as one line of compact, key-sorted JSON by the encoder
 that `canonical_report_bytes` uses.  The ``timing_s`` field is the one
 intentionally nondeterministic entry; `canonical_report_bytes` drops it, and
@@ -17,13 +25,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-
-import jsonschema
 
 from . import __version__
 from .hyper import MAX_ENUMERATE, enumerate_preorders, qh_equivalent, qh_singular_scan
@@ -55,17 +62,92 @@ class InputProblem(Exception):
     """Anything wrong with the scenario itself, as opposed to its mathematics."""
 
 
+# Every keyword scenario.schema.json may use; `then` is read by `if`.
+_KEYWORDS = frozenset(
+    ("$schema", "title", "$defs", "type", "enum", "const", "required", "properties", "$ref",
+     "pattern", "minimum", "maximum", "items", "minItems", "allOf", "if", "then")
+)
+# A bool is of no type here.  Unlike in jsonschema, 2.0 is not an integer: floats stay out.
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _check_keywords(schema: dict) -> None:
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"scenario schema uses unsupported keywords {unknown}")
+    if schema.get("type", "object") not in _TYPES:
+        raise ValueError(f"scenario schema uses unsupported type {schema['type']!r}")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(), *schema.get("allOf", ())]
+    subschemas += [schema[key] for key in ("items", "if", "then") if key in schema]
+    for sub in subschemas:
+        _check_keywords(sub)
+
+
 @cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The scenario schema validator, built on first use and shared after."""
-    text = resources.files("qusp.schemas").joinpath("scenario.schema.json").read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+def _schema() -> dict:
+    """The scenario schema, loaded and checked for unsupported keywords on first use."""
+    schema = json.loads(resources.files("qusp.schemas").joinpath("scenario.schema.json").read_text())
+    _check_keywords(schema)
+    return schema
+
+
+def _errors(schema: dict, instance, path: str, root: dict):
+    """Yield (json_path, message) for each keyword of schema that instance breaks, in the schema's order."""
+    is_object = isinstance(instance, dict)
+    is_number = isinstance(instance, (int, float)) and not isinstance(instance, bool)
+    for key, value in schema.items():
+        if key == "type":
+            if not isinstance(instance, _TYPES[value]) or isinstance(instance, bool):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            if not any(type(instance) is type(v) and instance == v for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const":
+            if not (type(instance) is type(value) and instance == value):
+                yield path, f"{value!r} was expected"
+        elif key == "required":
+            if is_object:
+                yield from ((path, f"{name!r} is a required property") for name in value if name not in instance)
+        elif key == "properties":
+            if is_object:
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _errors(sub, instance[name], f"{path}.{name}", root)
+        elif key == "$ref":
+            target = root
+            for part in value.removeprefix("#/").split("/"):
+                target = target[part]
+            yield from _errors(target, instance, path, root)
+        elif key == "pattern":
+            if isinstance(instance, str) and not re.search(value, instance):
+                yield path, f"{instance!r} does not match {value!r}"
+        elif key == "minimum":
+            if is_number and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "maximum":
+            if is_number and instance > value:
+                yield path, f"{instance!r} is greater than the maximum of {value!r}"
+        elif key == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    yield from _errors(value, item, f"{path}[{i}]", root)
+        elif key == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield path, f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short")
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(sub, instance, path, root)
+        elif key == "if":
+            # As in jsonschema, an `if` whose properties are absent holds.
+            if next(_errors(value, instance, path, root), None) is None:
+                yield from _errors(schema.get("then", {}), instance, path, root)
 
 
 def validate_scenario(scenario: dict) -> None:
-    errors = sorted(_validator().iter_errors(scenario), key=lambda e: e.json_path)
+    schema = _schema()
+    errors = sorted(_errors(schema, scenario, "$", schema), key=lambda e: e[0])
     if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
+        lines = [f"{path}: {message}" for path, message in errors]
         raise InputProblem("scenario schema violation\n" + "\n".join(lines))
 
 
@@ -146,8 +228,11 @@ def _parse_scales(scenario: dict, key: str, default: list[str]) -> list[Fraction
 def _run_finite_compare(scenario: dict) -> tuple[int, dict, list]:
     q1 = _load_quniform(scenario["q1"])
     q2 = _load_quniform(scenario["q2"])
-    if q1.ground != q2.ground:
-        raise InputProblem("q1 and q2 must share one ground set")
+    if q2.ground != q1.ground:
+        try:
+            q2 = FiniteQuasiUniformity(q2.min_entourage.relabel(q1.ground))
+        except ValueError as exc:
+            raise InputProblem(f"q1 and q2 must share one ground set: {exc}") from exc
     verdict = qh_equivalent(q1, q2)
     counter = None
     if verdict.counterexample is not None:

@@ -16,6 +16,8 @@ subset image; grounds above 16 points are rejected outright.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 
 from .quniform import FiniteQuasiUniformity
@@ -24,6 +26,8 @@ from .relcore import GroundSet, Relation, _check_same_ground, image, iter_bits
 MAX_HYPER_GROUND = 16
 MAX_ENUMERATE = 5
 MAX_SCAN = 4
+
+_PLAIN_LABEL = re.compile(r'[^,"{}]+')
 
 
 def _guard(g: GroundSet) -> None:
@@ -108,12 +112,21 @@ def hyper_h(u: Relation) -> HyperRelation:
     return hyper_minus(u) & hyper_plus(u)
 
 
+def _member_label(label: str) -> str:
+    return label if _PLAIN_LABEL.fullmatch(label) else json.dumps(label)
+
+
 def powerset_ground(g: GroundSet) -> GroundSet:
-    """Ground set for P(X): one label per subset mask, in mask order."""
+    """Ground set for P(X): one label per subset mask, in mask order.
+
+    A subset is written as its members' labels in braces, ``{a,b}``.  A label
+    that is empty or holds one of ``,"{}`` is written as a JSON string
+    (``{"a,b"}``), so distinct subsets always get distinct labels.
+    """
     _guard(g)
     labels = []
     for mask in range(1 << g.size):
-        labels.append("{" + ",".join(g.labels_of(mask)) + "}")
+        labels.append("{" + ",".join(map(_member_label, g.labels_of(mask))) + "}")
     return GroundSet(tuple(labels))
 
 

@@ -123,6 +123,14 @@ class Relation:
         _check_same_ground(self, other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
+    def relabel(self, g: GroundSet) -> "Relation":
+        """The same relation with its points listed in the order of g, which must hold the same labels."""
+        if sorted(g.labels) != sorted(self.ground.labels):
+            raise ValueError(f"labels {list(g.labels)} and {list(self.ground.labels)} differ as sets")
+        source = [self.ground.index(label) for label in g.labels]
+        rows = (sum(1 << j for j, sj in enumerate(source) if self.rows[si] >> sj & 1) for si in source)
+        return Relation(g, tuple(rows))
+
     def to_json(self) -> dict:
         n = self.ground.size
         return {

@@ -4,6 +4,8 @@ import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qusp.cli
 from qusp.cli import (
@@ -18,10 +20,10 @@ from qusp.cli import (
     main,
     run_scenario,
 )
-from qusp.hyper import MAX_HYPER_GROUND
+from qusp.hyper import MAX_HYPER_GROUND, enumerate_preorders
 from qusp.quniform import FiniteQuasiUniformity
 from qusp.ratcover import CoverError
-from qusp.relcore import Relation, ground
+from qusp.relcore import GroundSet, Relation, ground
 from qusp.serialize import canonical_json_bytes
 
 G2 = ground("a", "b")
@@ -62,6 +64,22 @@ class TestRunScenario:
         scenario = {"scenario": "finite_compare", "q1": DISCRETE2, "q2": DISCRETE2}
         code, _, report = run_scenario(scenario)
         assert code == EXIT_PASS and report["results"]["equivalent"]
+
+    def test_compare_permuted_labels(self):
+        q1 = {"min": rel_json(2, ["a", "b"], ["11", "01"])}
+        q2 = {"min": rel_json(2, ["b", "a"], ["10", "11"])}
+        code, _, report = run_scenario({"scenario": "finite_compare", "q1": q1, "q2": q2})
+        assert code == EXIT_PASS and report["results"]["equivalent"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(enumerate_preorders(3)), st.sampled_from(enumerate_preorders(3)), st.permutations(range(3)))
+    def test_compare_label_order_does_not_matter(self, r1, r2, order):
+        shuffled = r2.relabel(GroundSet(tuple(r2.ground.labels[i] for i in order)))
+        aligned = {"scenario": "finite_compare", "q1": {"min": r1.to_json()}, "q2": {"min": r2.to_json()}}
+        permuted = {**aligned, "q2": {"min": shuffled.to_json()}}
+        code, _, report = run_scenario(aligned)
+        permuted_code, _, permuted_report = run_scenario(permuted)
+        assert (permuted_code, permuted_report["results"]) == (code, report["results"])
 
     def test_kelley(self):
         code, _, report = run_scenario(
@@ -113,7 +131,7 @@ class TestCachedValidator:
         return str(err.value)
 
     def test_bad_after_good_keeps_the_field_path_message(self):
-        qusp.cli._validator.cache_clear()
+        qusp.cli._schema.cache_clear()
         cold = self.schema_error(self.BAD)
         assert run_scenario(self.GOOD)[0] == EXIT_PASS
         assert self.schema_error(self.BAD) == cold == (
@@ -123,19 +141,19 @@ class TestCachedValidator:
         )
 
     def test_validator_built_once(self, monkeypatch):
-        built = []
-        real = jsonschema.Draft202012Validator
+        loads = []
+        real = qusp.cli.resources.files
 
-        def counting(schema):
-            built.append(schema)
-            return real(schema)
+        def counting(package):
+            loads.append(package)
+            return real(package)
 
-        qusp.cli._validator.cache_clear()
-        monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
+        qusp.cli._schema.cache_clear()
+        monkeypatch.setattr(qusp.cli.resources, "files", counting)
         qusp.cli.validate_scenario(self.GOOD)
         self.schema_error(self.BAD)
-        assert len(built) == 1
-        assert qusp.cli._validator() is qusp.cli._validator()
+        assert loads == ["qusp.schemas"]
+        assert qusp.cli._schema() is qusp.cli._schema()
 
 
 class TestDeterminism:

@@ -357,3 +357,9 @@ class TestHausdorff:
     def test_powerset_labels(self):
         pg = powerset_ground(G2)
         assert pg.labels == ("{}", "{a}", "{b}", "{a,b}")
+
+    def test_powerset_labels_stay_distinct(self):
+        assert powerset_ground(ground("a", "b", "a,b")).labels[3:5] == ("{a,b}", '{"a,b"}')
+        assert powerset_ground(ground("", "{x}")).labels == ("{}", '{""}', '{"{x}"}', '{"","{x}"}')
+        hq = hausdorff_of(FiniteQuasiUniformity.discrete(ground("a", "b", "a,b")))
+        assert hq.min_entourage == Relation.identity(hq.ground)

@@ -236,6 +236,22 @@ class TestSerialization:
             Relation.from_json({"n": 2, "labels": ["a", "b"], "rows": ["10", "2x"]})
 
 
+class TestRelabel:
+    @given(relations(), st.randoms(use_true_random=False))
+    def test_pairs_keep_their_labels(self, r, rnd):
+        labels = list(r.ground.labels)
+        rnd.shuffle(labels)
+        moved = r.relabel(GroundSet(tuple(labels)))
+        named = {(r.ground.labels[i], r.ground.labels[j]) for i, j in r.pairs()}
+        assert {(labels[i], labels[j]) for i, j in moved.pairs()} == named
+        assert moved.relabel(r.ground) == r
+
+    @pytest.mark.parametrize("labels", [("a", "b", "d"), ("a", "b"), ("a", "b", "c", "d")])
+    def test_other_label_set_refused(self, labels):
+        with pytest.raises(ValueError, match="differ as sets"):
+            DELTA3.relabel(GroundSet(labels))
+
+
 class TestGroundSet:
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
