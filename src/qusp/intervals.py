@@ -31,7 +31,7 @@ module looks inside a triple.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -70,14 +70,19 @@ def _value_str(cut: _Cut) -> str:
     return str(cut[0]) if cut[1] == 1 else f"{cut[0]}/{cut[1]}"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Interval:
     """One interval inside [0, 1] with rational endpoints, open or closed at each.
 
-    Immutable.  Holds its two cuts as integer triples (``lower``, ``upper``);
-    the `Fraction` endpoints are computed on access.
+    Holds its two cuts as integer triples (``lower``, ``upper``); the
+    `Fraction` endpoints are computed on access.  `dataclasses` supplies
+    the value semantics: frozen fields, equality and hashing on the two
+    cuts, and copy and pickle support; the constructor validates, and
+    `_cut_interval` builds one from trusted cuts.
     """
 
-    __slots__ = ("lower", "upper")
+    lower: _Cut
+    upper: _Cut
 
     def __init__(self, lo, hi, lo_open: bool = True, hi_open: bool = True) -> None:
         lo = _exact(lo, "interval endpoint")
@@ -89,15 +94,6 @@ class Interval:
             raise ValueError("interval lower endpoint exceeds upper endpoint")
         object.__setattr__(self, "lower", (ln, ld, 1 if lo_open else 0))
         object.__setattr__(self, "upper", (hn, hd, -1 if hi_open else 0))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (_cut_interval, (self.lower, self.upper))
 
     @property
     def lo(self) -> Fraction:
@@ -122,14 +118,6 @@ class Interval:
     @property
     def upper_cut(self) -> Cut:
         return (self.hi, self.upper[2])
-
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return self.lower == other.lower and self.upper == other.upper
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper))
 
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo!r}, hi={self.hi!r}, lo_open={self.lo_open!r}, hi_open={self.hi_open!r})"
@@ -295,25 +283,19 @@ class RationalIntervalSet:
         stretches every piece to the ground's edge on that side, and the
         merge pass then joins all of them into one piece.  Every piece is
         shifted by the same amounts, so a normalized input gives pieces
-        whose lower and upper cuts both never decrease, and one merge pass
-        joins the neighbours that overlap; two open ends that meet leave the
-        shared point out and stay split.
+        sorted by lower cut, and one `_merged` pass joins the neighbours that
+        overlap; two open ends that meet leave the shared point out and stay
+        split.
         """
-        if not self.intervals:
-            return self
-        out: list[list[_Cut]] = []
+        pairs = []
         for piece in self.intervals:
             n, d, _ = piece.lower
             num, den = n * below.denominator - below.numerator * d, d * below.denominator
             lower = _reduced(num, den, 1) if num > 0 else _FLOOR
             n, d, _ = piece.upper
             num, den = n * above.denominator + above.numerator * d, d * above.denominator
-            upper = _reduced(num, den, -1) if num < den else _CEIL
-            if out and _mergeable(out[-1][1], lower):
-                out[-1][1] = upper
-            else:
-                out.append([lower, upper])
-        return RationalIntervalSet._trusted(tuple(_cut_interval(lower, upper) for lower, upper in out))
+            pairs.append((lower, _reduced(num, den, -1) if num < den else _CEIL))
+        return RationalIntervalSet._trusted(_merged(pairs))
 
     def pick_point(self) -> Fraction:
         """A canonical member: endpoint when closed, midpoint otherwise."""
@@ -333,23 +315,30 @@ class RationalIntervalSet:
         return " u ".join(str(iv) for iv in self.intervals)
 
 
-def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    clamped: list[list[_Cut]] = []
-    for piece in intervals:
-        lower = piece.lower if _le(_FLOOR, piece.lower) else _FLOOR
-        upper = piece.upper if _le(piece.upper, _CEIL) else _CEIL
-        if _le(lower, upper):
-            clamped.append([lower, upper])
-    # Pieces with equal lower cuts always merge, so sorting by lower cut alone suffices.
-    clamped.sort(key=lambda pair: _by_cut(pair[0]))
+def _merged(pairs: Iterable[tuple[_Cut, _Cut]]) -> tuple[Interval, ...]:
+    """The intervals of (lower, upper) cut pairs sorted by lower cut, `_mergeable` neighbours joined.
+
+    Pairs with equal lower cuts always merge, so their order among themselves does not matter.
+    """
     merged: list[list[_Cut]] = []
-    for lower, upper in clamped:
+    for lower, upper in pairs:
         if merged and _mergeable(merged[-1][1], lower):
             if _lt(merged[-1][1], upper):
                 merged[-1][1] = upper
         else:
             merged.append([lower, upper])
     return tuple(_cut_interval(lower, upper) for lower, upper in merged)
+
+
+def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+    clamped: list[tuple[_Cut, _Cut]] = []
+    for piece in intervals:
+        lower = piece.lower if _le(_FLOOR, piece.lower) else _FLOOR
+        upper = piece.upper if _le(piece.upper, _CEIL) else _CEIL
+        if _le(lower, upper):
+            clamped.append((lower, upper))
+    clamped.sort(key=lambda pair: _by_cut(pair[0]))
+    return _merged(clamped)
 
 
 EMPTY = RationalIntervalSet(())

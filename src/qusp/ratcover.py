@@ -28,7 +28,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .intervals import (
     GROUND,
@@ -185,7 +185,18 @@ class OmegaCover:
 
         Precondition: ``holds`` is monotone along the cover, false up to some
         index and true from there on.  Each caller's test is, because the
-        sets are nested, which construction checks.
+        sets are nested, which construction checks:
+
+        - the three ``min_index_*`` methods: holding a point, holding a set
+          and meeting a set all pass from a set to its supersets;
+        - `cert_boundedhaus`, every complement piece small: each piece of a
+          larger set's complement lies inside one piece of a smaller set's,
+          and a subset of a small interval is small (no larger span, and an
+          equal span keeps the open end);
+        - `cert_monotonehaus`, its hypothesis: ``a & s`` only grows and
+          ``a - s`` only shrinks along the cover, ``inv_image`` is monotone
+          in its set and the deep pool is fixed.  It wants an index below
+          the truncation depth, so it reads a result equal to it as none.
         """
         n = bisect_left(self.sets, True, key=holds)
         return n if n < len(self.sets) else None
@@ -324,38 +335,33 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
     over the two stratum indices (`overlapping_tags`) meets only intervals
     that overlap, linear in the number of stratum intervals.  Stratum pairs
     whose indices would run past a truncation depth are counted as skipped,
-    not assumed.  The grid check stays an independent sample: it locates
-    each grid point in each cover's stratum index (`tags_of_sorted`, one
-    sweep over the ascending grid) and repeats the containment for it.  Both
-    parts rely on each cover's strata being disjoint, which holds for the
-    nested sets validation checks.
+    not assumed.  Each pair is decided once, by ``holds``, which both parts
+    read.  The grid check's independent part is locating the points: it
+    finds each grid point in each cover's stratum index (`tags_of_sorted`,
+    one sweep over the ascending grid) and reads the verdict of that pair,
+    one the sweep has met, since the point lies in both strata.  Both parts
+    rely on each cover's strata being disjoint, which holds for the nested
+    sets validation checks.
     """
-    exact_checked = 0
-    skipped = 0
-    failures: list[dict] = []
-    for k, n in overlapping_tags(fine.stratum_index, coarse.stratum_index):
+
+    @cache
+    def holds(k: int, n: int) -> bool | None:
         if k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
-            skipped += 1
-            continue
-        exact_checked += 1
-        if not fine.sets[k + 2] <= coarse.sets[n + 1]:
-            failures.append({"fine_stratum": k, "coarse_stratum": n})
-    grid_checked = 0
-    grid_violations = 0
+            return None
+        return fine.sets[k + 2] <= coarse.sets[n + 1]
+
+    exact = [(k, n, holds(k, n)) for k, n in overlapping_tags(fine.stratum_index, coarse.stratum_index)]
+    failures = [{"fine_stratum": k, "coarse_stratum": n} for k, n, ok in exact if ok is False]
     grid = rational_grid(grid_size)
-    for k, n in zip(tags_of_sorted(fine.stratum_index, grid), tags_of_sorted(coarse.stratum_index, grid)):
-        if k is None or n is None or k + 2 > fine.truncation_depth or n + 1 > coarse.truncation_depth:
-            continue
-        grid_checked += 1
-        if not fine.sets[k + 2] <= coarse.sets[n + 1]:
-            grid_violations += 1
+    located = zip(tags_of_sorted(fine.stratum_index, grid), tags_of_sorted(coarse.stratum_index, grid))
+    sampled = [holds(k, n) for k, n in located if k is not None and n is not None]
     return {
-        "exact_stratum_checks": exact_checked,
+        "exact_stratum_checks": sum(ok is not None for _, _, ok in exact),
         "exact_failures": failures,
-        "boundary_skipped": skipped,
-        "grid_points": grid_checked,
-        "grid_violations": grid_violations,
-        "passed": not failures and grid_violations == 0,
+        "boundary_skipped": sum(ok is None for _, _, ok in exact),
+        "grid_points": sum(ok is not None for ok in sampled),
+        "grid_violations": sampled.count(False),
+        "passed": not failures and False not in sampled,
     }
 
 
@@ -512,18 +518,14 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
         }
 
     deep_pool = a - c.sets[depth]
-    found = None
-    for m in range(depth):
-        inside = a & c.sets[m]
-        if inside.is_empty:
-            continue
-        outside = a - c.sets[m]
-        cond_near = outside <= c.oracle.inv_image(delta, inside)
-        cond_deep = outside <= c.oracle.image(delta, deep_pool)
-        if cond_near and cond_deep:
-            found = m
-            break
-    if found is None:
+
+    def hypothesis(s: RationalIntervalSet) -> bool:
+        inside, outside = a & s, a - s
+        near = not inside.is_empty and outside <= c.oracle.inv_image(delta, inside)
+        return near and outside <= c.oracle.image(delta, deep_pool)
+
+    found = c._first_index(hypothesis)
+    if found is None or found == depth:
         return {
             "kind": "monotone_haus_membership",
             "branch": "unbounded",
@@ -567,7 +569,7 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
     }
 
 
-def _chop_small(oracle: MetricOracle, comp: Interval, eps: Fraction) -> list[Interval]:
+def _chop_small(comp: Interval, eps: Fraction) -> list[Interval]:
     """Split one interval into pieces that are exactly small at scale eps."""
     pieces: list[Interval] = []
     start, start_open = comp.lo, comp.lo_open
@@ -595,15 +597,15 @@ def cert_boundedhaus(c: OmegaCover, u_scale: Fraction) -> dict:
     pieces are re-verified to reunite to the complement.
     """
     eps = _positive(u_scale, "entourage scale")
-    for n in range(c.truncation_depth + 1):
-        comp = c.sets[n].complement()
-        if all(c.oracle.is_small(RationalIntervalSet.of(p), eps) for p in comp.intervals):
-            chosen, pieces, chopped = n, list(comp.intervals), False
-            break
-    else:  # ``comp`` is left at the deepest set's complement
-        chosen = c.truncation_depth
-        pieces = [p for comp_iv in comp.intervals for p in _chop_small(c.oracle, comp_iv, eps)]
-        chopped = True
+
+    def pieces_small(s: RationalIntervalSet) -> bool:
+        return all(c.oracle.is_small(RationalIntervalSet.of(p), eps) for p in s.complement().intervals)
+
+    found = c._first_index(pieces_small)
+    chopped = found is None
+    chosen = c.truncation_depth if chopped else found
+    comp = c.sets[chosen].complement()
+    pieces = [p for comp_iv in comp.intervals for p in _chop_small(comp_iv, eps)] if chopped else list(comp.intervals)
     union = RationalIntervalSet(tuple(pieces))
     all_small = all(c.oracle.is_small(RationalIntervalSet.of(p), eps) for p in pieces)
     return {

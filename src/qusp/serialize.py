@@ -7,7 +7,7 @@ import json
 import re
 from fractions import Fraction
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def frac_str(value: Fraction) -> str:
@@ -35,11 +35,14 @@ def _positive(value, what: str) -> Fraction:
 
 
 def parse_frac(text: str) -> Fraction:
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    """A bare ``"p/q"`` or ``"p"`` string as a Fraction; the whole string must match, so ``"1/2\n"`` is refused."""
+    match = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"malformed rational {text!r}, expected 'p/q' or 'p'")
-    if "/" in text and int(text.split("/")[1]) == 0:
+    num, den = (int(group) for group in match.groups("1"))
+    if den == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Fraction(text)
+    return Fraction(num, den)
 
 
 def canonical_json_bytes(obj: object) -> bytes:

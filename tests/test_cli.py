@@ -445,6 +445,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "zero denominator" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("key", ["eps", "scales", "bounded_scales", "probe_scales"])
+    def test_trailing_newline_in_rational_is_input_error(self, tmp_path, capsys, key):
+        # The schema's $-anchored pattern lets "1/2\n" through; parse_frac refuses it.
+        scenario = {"scenario": "dense_witness", "eps": "1/2", "depth": 4, "grid": 16}
+        scenario[key] = "1/2\n" if key == "eps" else ["1/4", "1/2\n"]
+        assert main(["run", write_scenario(tmp_path, "newline.json", scenario)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "malformed rational '1/2\\n'" in captured.err and captured.out == ""
+
     def test_cross_ground_compare_is_input_error(self, tmp_path, capsys):
         q2 = {"min": rel_json(2, ["a", "c"], ["10", "01"])}
         path = write_scenario(tmp_path, "cross.json", {"scenario": "finite_compare", "q1": DISCRETE2, "q2": q2})

@@ -188,6 +188,12 @@ class TestMisc:
         assert parse_frac("3/6") == F(1, 2)
         assert parse_frac("2") == 2
 
+    def test_parse_frac_takes_bare_strings_only(self):
+        for text in ("1/2\n", " 1/2", "1/2 ", "1 /2", "+1/2", "1/-2", "\u0661/2"):
+            with pytest.raises(ValueError, match="malformed rational"):
+                parse_frac(text)
+        assert parse_frac("-007/014") == F(-1, 2) and parse_frac("-0") == 0
+
     def test_interval_is_immutable_and_copies(self):
         piece = Interval(F(1, 3), F(5, 7), lo_open=False)
         with pytest.raises(FrozenInstanceError):

@@ -466,6 +466,24 @@ class TestStratumSweep:
         assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
         assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
 
+    def test_each_pair_decided_once(self, monkeypatch):
+        # The grid revisits stratum pairs the sweep has decided; it reads
+        # their verdicts instead of repeating the containment.
+        cover, _ = dense_scenario(F(1, 2), depth=12)
+        fine, coarse = star_cover(cover), cover
+        pairs = overlapping_tags(fine.stratum_index, coarse.stratum_index)
+        calls = []
+        subset = RationalIntervalSet.__le__
+
+        def counted(a, b):
+            calls.append((id(a), id(b)))
+            return subset(a, b)
+
+        monkeypatch.setattr(RationalIntervalSet, "__le__", counted)
+        report = _double_successor_containments(fine, coarse, 64)
+        assert report["grid_points"] > len(pairs)
+        assert len(calls) == len(set(calls)) == report["exact_stratum_checks"] <= len(pairs)
+
     @given(nested_covers(oracles=(UPPER, LOWER)))
     @settings(max_examples=30, deadline=None)
     def test_normal_sequence_through_star_covers(self, cover):
@@ -497,6 +515,63 @@ class TestMinIndexBisection:
             probe = iv(edge, F(3, 4), lo_open=False)
             assert cover.min_index_containing(probe) == linear_first(cover, lambda s: probe <= s)
             assert cover.min_index_intersecting(probe) == linear_first(cover, lambda s: not (probe & s).is_empty)
+
+
+def linear_bounded_index(cover, eps):
+    """`cert_boundedhaus`'s ``index`` and ``chopped``, by a linear scan of the sets."""
+
+    def pieces_small(s):
+        return all(cover.oracle.is_small(RationalIntervalSet.of(p), eps) for p in s.complement().intervals)
+
+    n = linear_first(cover, pieces_small)
+    return (cover.truncation_depth, True) if n is None else (n, False)
+
+
+def linear_hypothesis_index(cover, v, a):
+    """The first m below the truncation depth where `cert_monotonehaus`'s hypothesis holds, by a linear scan."""
+    delta = v / 2
+    deep_pool = a - cover.sets[cover.truncation_depth]
+    for m in range(cover.truncation_depth):
+        inside, outside = a & cover.sets[m], a - cover.sets[m]
+        if inside.is_empty:
+            continue
+        if outside <= cover.oracle.inv_image(delta, inside) and outside <= cover.oracle.image(delta, deep_pool):
+            return m
+    return None
+
+
+# From below the covers' 1/96 grid step to past the width of the ground.
+CERT_SCALES = [F(1, 192), F(1, 48), F(1, 12), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+
+
+class TestCertificateBisection:
+    """The certificates' bisected first-index searches against linear scans."""
+
+    @given(nested_covers(), st.sampled_from(CERT_SCALES), multi_interval_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_indices_match_linear_scans(self, cover, scale, probe):
+        bounded = cert_boundedhaus(cover, scale)
+        assert (bounded["index"], bounded["chopped"]) == linear_bounded_index(cover, scale)
+        n_cont = linear_first(cover, lambda s: probe <= s)
+        if n_cont is not None and n_cont + 1 > cover.truncation_depth:
+            with pytest.raises(CoverError):
+                cert_monotonehaus(cover, scale, probe)
+            return
+        cert = cert_monotonehaus(cover, scale, probe)
+        assert cert["branch"] == ("contained" if n_cont is not None else "unbounded")
+        if n_cont is None:
+            assert cert.get("hypothesis_index") == linear_hypothesis_index(cover, scale, probe)
+
+    def test_hypothesis_first_holding_at_depth_is_not_found(self):
+        # On G_n = (1/(2n + 2), 1) and A = (0, 1/2), the hypothesis at scale
+        # v needs 1/(2m + 2) <= v/2: at depth 4, v = 1/5 first meets it at
+        # m = 4, the deepest set, which the search does not accept.
+        cover, probe = flagship(depth=4), iv(0, F(1, 2))
+        assert cover._first_index(lambda s: (probe - s) <= EUCLID.inv_image(F(1, 10), probe & s)) == 4
+        assert linear_hypothesis_index(cover, F(1, 5), probe) is None
+        cert = cert_monotonehaus(cover, F(1, 5), probe)
+        assert cert["passed"] is False and "hypothesis_index" not in cert
+        assert cert_monotonehaus(cover, F(1, 4), probe)["hypothesis_index"] == 3
 
 
 # Endpoints from a band of nine grid steps, so pieces of two sets often
