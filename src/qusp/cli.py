@@ -35,7 +35,7 @@ from importlib import resources
 from . import __version__
 from .hyper import MAX_ENUMERATE, enumerate_preorders, qh_equivalent, qh_singular_scan
 from .metrize import check_sandwich, every_second_level, kelley_metric, random_normal_sequence
-from .quniform import FiniteQuasiUniformity
+from .quniform import FiniteQuasiUniformity, symmetrize
 from .ratcover import (
     DEFAULT_GRID,
     DEFAULT_TRUNCATION_DEPTH,
@@ -47,7 +47,7 @@ from .ratcover import (
     random_interval_sets,
     refined_base,
 )
-from .relcore import inverse, iter_bits
+from .relcore import iter_bits
 from .serialize import _positive, canonical_json_bytes, digest, frac_str, parse_frac
 
 EXIT_PASS = 0
@@ -65,7 +65,7 @@ class InputProblem(Exception):
 # Every keyword scenario.schema.json may use; `then` is read by `if`.
 _KEYWORDS = frozenset(
     ("$schema", "title", "$defs", "type", "enum", "const", "required", "properties", "$ref",
-     "pattern", "minimum", "maximum", "items", "minItems", "allOf", "if", "then")
+     "pattern", "minimum", "maximum", "items", "minItems", "allOf", "if", "then", "additionalProperties")
 )
 # A bool is of no type here.  Unlike in jsonschema, 2.0 is not an integer: floats stay out.
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int}
@@ -77,6 +77,8 @@ def _check_keywords(schema: dict) -> None:
         raise ValueError(f"scenario schema uses unsupported keywords {unknown}")
     if schema.get("type", "object") not in _TYPES:
         raise ValueError(f"scenario schema uses unsupported type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("scenario schema uses unsupported additionalProperties: only false is implemented")
     subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(), *schema.get("allOf", ())]
     subschemas += [schema[key] for key in ("items", "if", "then") if key in schema]
     for sub in subschemas:
@@ -113,6 +115,11 @@ def _errors(schema: dict, instance, path: str, root: dict):
                 for name, sub in value.items():
                     if name in instance:
                         yield from _errors(sub, instance[name], f"{path}.{name}", root)
+        elif key == "additionalProperties":
+            extras = sorted(instance.keys() - schema.get("properties", {}).keys(), key=str) if is_object else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
         elif key == "$ref":
             target = root
             for part in value.removeprefix("#/").split("/"):
@@ -183,13 +190,13 @@ def export_topology(q: FiniteQuasiUniformity, name: str = "specialization") -> s
         if "=" in label:
             raise InputProblem(f"topology export cannot show label {label!r}: '=' joins the labels of a cluster")
     rel = q.min_entourage
-    inv = inverse(rel)
+    sym = symmetrize(q).min_entourage
     seen = 0
     classes: list[int] = []
     for i in range(n):
         if seen >> i & 1:
             continue
-        cls = rel.rows[i] & inv.rows[i]
+        cls = sym.rows[i]
         classes.append(cls)
         seen |= cls
     reps = [next(iter_bits(c)) for c in classes]
@@ -217,12 +224,17 @@ def _load_quniform(data: dict) -> FiniteQuasiUniformity:
         raise InputProblem(f"bad quasi-uniformity: {exc}") from exc
 
 
-def _parse_scales(scenario: dict, key: str, default: list[str]) -> list[Fraction]:
-    raw = scenario.get(key, default)
+def _rational(key: str, text: str, scale: bool = False) -> Fraction:
+    """The rational ``text`` of field ``key``, refused naming key when malformed or, for a scale, not positive."""
     try:
-        return [_positive(parse_frac(s), f"{key}: every scale") for s in raw]
+        value = parse_frac(text)
+        return _positive(value, "every scale") if scale else value
     except ValueError as exc:
-        raise InputProblem(str(exc)) from exc
+        raise InputProblem(f"{key}: {exc}") from exc
+
+
+def _parse_scales(scenario: dict, key: str, default: list[str]) -> list[Fraction]:
+    return [_rational(key, text, scale=True) for text in scenario.get(key, default)]
 
 
 def _run_finite_compare(scenario: dict) -> tuple[int, dict, list]:
@@ -277,10 +289,7 @@ _DYADIC_DEFAULT = [f"1/{1 << k}" for k in range(9)]
 
 
 def _run_dense(scenario: dict) -> tuple[int, dict, list]:
-    try:
-        eps = parse_frac(scenario["eps"])
-    except ValueError as exc:
-        raise InputProblem(str(exc)) from exc
+    eps = _rational("eps", scenario["eps"])
     depth = scenario.get("depth", DEFAULT_TRUNCATION_DEPTH)
     normal_depth = scenario.get("normal_depth", 3)
     refine_depth = scenario.get("refine_depth", 2)
@@ -433,37 +442,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qusp", description="quasi-uniform space laboratory")
     parser.add_argument("--version", action="version", version=f"qusp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default=None)
 
-    p_run = sub.add_parser("run", help="run a scenario file")
+    p_run = sub.add_parser("run", parents=[report], help="run a scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--format", choices=["json", "dot"], default="json")
-    p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_enum = sub.add_parser("enumerate", help="count preorders on n labeled points")
+    p_enum = sub.add_parser("enumerate", parents=[report], help="count preorders on n labeled points")
     p_enum.add_argument("n", type=int)
-    p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(fn=_cmd_enumerate)
 
-    p_scan = sub.add_parser("scan", help="exhaustive hyperspace collision scan")
+    p_scan = sub.add_parser("scan", parents=[report], help="exhaustive hyperspace collision scan")
     p_scan.add_argument("n", type=int)
-    p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(fn=_cmd_scan)
 
-    p_kelley = sub.add_parser("kelley", help="seeded ladder metric sandwich check")
+    p_kelley = sub.add_parser("kelley", parents=[report], help="seeded ladder metric sandwich check")
     p_kelley.add_argument("--seed", type=int, required=True)
     p_kelley.add_argument("--n", type=int, required=True)
     p_kelley.add_argument("--depth", type=int, required=True)
     p_kelley.add_argument("--count", type=int, default=1)
-    p_kelley.add_argument("--out", default=None)
     p_kelley.set_defaults(fn=_cmd_kelley)
 
-    p_wit = sub.add_parser("witness", help="build and certify the dense witness cover")
+    p_wit = sub.add_parser("witness", parents=[report], help="build and certify the dense witness cover")
     p_wit.add_argument("--eps", required=True)
     p_wit.add_argument("--depth", type=int, default=DEFAULT_TRUNCATION_DEPTH)
     p_wit.add_argument("--probe-count", type=int, default=0)
     p_wit.add_argument("--probe-seed", type=int, default=None)
-    p_wit.add_argument("--out", default=None)
     p_wit.set_defaults(fn=_cmd_witness)
 
     return parser
@@ -485,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = args.fn(args)
-        _write_report(getattr(args, "out", None), text)
+        _write_report(args.out, text)
     except InputProblem as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

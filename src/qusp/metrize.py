@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relcore import GroundSet, NormalSequence, Relation, compose
+from .relcore import GroundSet, NormalSequence, Relation, compose, image, is_preorder
 from .serialize import _exact, _positive
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -124,7 +124,7 @@ def weight_function(seq: NormalSequence) -> Matrix:
     bottom = seq.levels[last]
     zero, one = Fraction(0), Fraction(1)
     by_level = [Fraction(1, 2**k) for k in range(seq.depth)]
-    if compose(bottom, bottom) <= bottom:
+    if is_preorder(bottom):
         by_level[last] = zero
     deepest_first = [(lvl.rows, weight) for lvl, weight in zip(seq.levels, by_level)][::-1]
     rows = []
@@ -208,14 +208,16 @@ def random_normal_sequence(seed: int, n: int, depth: int) -> NormalSequence:
     """Seeded random valid ladder, built bottom-up by squaring plus extras.
 
     Each level contains the square of the one below and the diagonal, so
-    the ladder is normal by construction and is not re-checked.
+    the ladder is normal by construction and is not re-checked.  A level is
+    built as one `Relation`: row x is the image of row x of the level below
+    under that level, joined with the row of extras drawn for it.
     """
     if n < 1 or depth < 1:
         raise ValueError("need a positive ground size and depth")
     rng = random.Random(seed)
     g = GroundSet(tuple(f"x{i}" for i in range(n)))
 
-    def sprinkle(prob: float) -> Relation:
+    def sprinkle(prob: float) -> list[int]:
         rows = []
         for i in range(n):
             row = 1 << i
@@ -223,11 +225,11 @@ def random_normal_sequence(seed: int, n: int, depth: int) -> NormalSequence:
                 if j != i and rng.random() < prob:
                     row |= 1 << j
             rows.append(row)
-        return Relation(g, tuple(rows))
+        return rows
 
-    current = sprinkle(0.2)
+    current = Relation(g, tuple(sprinkle(0.2)))
     levels = [current]
     for _ in range(depth - 1):
-        current = compose(current, current) | sprinkle(0.08)
+        current = Relation(g, tuple(image(current, row) | extra for row, extra in zip(current.rows, sprinkle(0.08))))
         levels.append(current)
     return NormalSequence._trusted(tuple(reversed(levels)))

@@ -255,14 +255,19 @@ class StarTower:
         """
         if not 0 <= depth < len(self.covers):
             raise CoverError(f"no normal-sequence prefix of depth {depth} in this tower")
-        pairs = self.certificate["pairs"][:depth]
-        cert = {
-            **self.certificate,
-            "covers": depth + 1,
-            "pairs": pairs,
-            "passed": all(p["passed"] for p in pairs),
-        }
+        cert = _normal_sequence_certificate(self.certificate["grid_size"], self.certificate["pairs"][:depth])
         return StarTower(self.covers[: depth + 1], cert)
+
+
+def _normal_sequence_certificate(grid_size: int, pairs: list[dict]) -> dict:
+    """The certificate of a tower whose consecutive covers were checked in ``pairs``, coarsest first."""
+    return {
+        "kind": "normal_sequence",
+        "covers": len(pairs) + 1,
+        "grid_size": grid_size,
+        "pairs": pairs,
+        "passed": all(p["passed"] for p in pairs),
+    }
 
 
 def cover_successor_of_point(c: OmegaCover, x: Fraction) -> RationalIntervalSet:
@@ -378,15 +383,11 @@ def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GR
     covers = [c]
     for _ in range(depth):
         covers.append(star_cover(covers[-1]))
-    pair_reports = [_double_successor_containments(covers[j + 1], covers[j], grid_size) for j in range(depth)]
-    cert = {
-        "kind": "normal_sequence",
-        "covers": depth + 1,
-        "grid_size": grid_size,
-        "pairs": [{"finer": j + 1, "coarser": j, **rep} for j, rep in enumerate(pair_reports)],
-        "passed": all(rep["passed"] for rep in pair_reports),
-    }
-    return StarTower(tuple(covers), cert)
+    pairs = [
+        {"finer": j + 1, "coarser": j, **_double_successor_containments(covers[j + 1], covers[j], grid_size)}
+        for j in range(depth)
+    ]
+    return StarTower(tuple(covers), _normal_sequence_certificate(grid_size, pairs))
 
 
 def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:

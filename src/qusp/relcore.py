@@ -158,20 +158,9 @@ def _check_same_ground(r: Relation, s: Relation) -> None:
 
 
 def compose(r: Relation, s: Relation) -> Relation:
-    """First r, then s: (x, z) related iff some y has (x, y) in r, (y, z) in s."""
+    """First r, then s: row x of the result is the image under s of row x of r."""
     _check_same_ground(r, s)
-    s_rows = s.rows
-    rows = []
-    for row in r.rows:
-        acc = 0
-        y = 0
-        while row:
-            if row & 1:
-                acc |= s_rows[y]
-            row >>= 1
-            y += 1
-        rows.append(acc)
-    return Relation(r.ground, tuple(rows))
+    return Relation(r.ground, tuple(image(s, row) for row in r.rows))
 
 
 def inverse(r: Relation) -> Relation:
@@ -185,10 +174,15 @@ def inverse(r: Relation) -> Relation:
 
 
 def image(r: Relation, subset: int) -> int:
-    """All elements reachable from ``subset`` through r, as a bit mask."""
+    """All elements reachable from ``subset`` through r: the union of the rows it selects, as a bit mask."""
+    rows = r.rows
     acc = 0
-    for x in iter_bits(subset):
-        acc |= r.rows[x]
+    y = 0
+    while subset:
+        if subset & 1:
+            acc |= rows[y]
+        subset >>= 1
+        y += 1
     return acc
 
 

@@ -452,7 +452,18 @@ class TestExitCodes:
         scenario[key] = "1/2\n" if key == "eps" else ["1/4", "1/2\n"]
         assert main(["run", write_scenario(tmp_path, "newline.json", scenario)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert "malformed rational '1/2\\n'" in captured.err and captured.out == ""
+        assert f"input error: {key}: malformed rational '1/2\\n'" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("rows", [["111", "011"], ["111", "011", "001", "001"]], ids=["two rows", "four rows"])
+    def test_row_count_off_the_ground_size_is_input_error(self, tmp_path, capsys, rows):
+        # Relation.from_json checks each row's length; the Relation constructor checks how many there are.
+        q1 = {"min": rel_json(3, ["a", "b", "c"], rows)}
+        q2 = {"min": rel_json(3, ["a", "b", "c"], ["111", "011", "001"])}
+        path = write_scenario(tmp_path, "rows.json", {"scenario": "finite_compare", "q1": q1, "q2": q2})
+        assert main(["run", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "input error: bad quasi-uniformity: row count does not match ground size\n"
+        assert captured.out == ""
 
     def test_cross_ground_compare_is_input_error(self, tmp_path, capsys):
         q2 = {"min": rel_json(2, ["a", "c"], ["10", "01"])}

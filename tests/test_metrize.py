@@ -1,10 +1,14 @@
 import dataclasses
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qusp.metrize
 from qusp.metrize import (
     FiniteQuasiPseudometric,
     check_sandwich,
@@ -195,6 +199,40 @@ class TestTrustedLadders:
             assert sub == checked
             assert hash(sub) == hash(checked)
             assert repr(sub) == repr(checked)
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        built = []
+        check = Relation.__post_init__
+        monkeypatch.setattr(Relation, "__post_init__", lambda r: built.append(r) or check(r))
+        ladder = random_normal_sequence(3, 6, 12)
+        assert len(built) == ladder.depth == 12
+        assert set(built) == set(ladder.levels)
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), depth=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_levels_and_draws_match_square_plus_sprinkle(self, seed, n, depth):
+        # Reference: each level is the square of the one below, joined by `|` with a Relation of extras.
+        rng = random.Random(seed)
+        g = GroundSet(tuple(f"x{i}" for i in range(n)))
+
+        def sprinkle(prob):
+            rows = [(1 << i) | sum(1 << j for j in range(n) if j != i and rng.random() < prob) for i in range(n)]
+            return Relation(g, tuple(rows))
+
+        levels = [sprinkle(0.2)]
+        for _ in range(depth - 1):
+            levels.append(compose(levels[-1], levels[-1]) | sprinkle(0.08))
+        made = []
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        with mock.patch.object(qusp.metrize, "random", SimpleNamespace(Random=Recording)):
+            ladder = random_normal_sequence(seed, n, depth)
+        assert ladder.levels == tuple(reversed(levels))
+        assert [r.getstate() for r in made] == [rng.getstate()]
 
     def test_hand_built_ladders_carry_no_record(self):
         g = ground("a", "b", "c", "d", "e")

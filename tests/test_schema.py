@@ -123,6 +123,26 @@ def test_fixed_cases_agree_with_jsonschema(scenario):
     assert interpreter_lines(scenario) == reference_lines(scenario)
 
 
+@pytest.mark.parametrize(
+    "scenario,lines",
+    [
+        ({"scenario": "kelley_demo", "seed": 1, "n": 4, "depth": 4, "cuont": 500},
+         ["$: Additional properties are not allowed ('cuont' was unexpected)"]),
+        ({"scenario": "singular_scan", "n": 2, "seed": 1, "depht": 3},
+         ["$: Additional properties are not allowed ('depht', 'seed' were unexpected)"]),
+        ({"scenario": "dense_witness", "eps": "1/2", "probes": {"count": 1, "seed": 0, "sede": 2}},
+         ["$.probes: Additional properties are not allowed ('sede' was unexpected)"]),
+    ],
+    ids=["one extra key", "two extra keys", "extra key under probes"],
+)
+def test_unknown_keys_are_refused(tmp_path, capsys, scenario, lines):
+    assert interpreter_lines(scenario) == reference_lines(scenario) == lines
+    file = tmp_path / "unknown.json"
+    file.write_text(json.dumps(scenario))
+    assert main(["run", str(file)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: scenario schema violation\n" + "\n".join(lines) + "\n")
+
+
 def test_every_branch_requires_its_fields_when_scenario_is_absent():
     assert interpreter_lines({}) == [
         f"$: '{name}' is a required property" for name in ("scenario", "q1", "q2", "n", "seed", "n", "depth", "eps")
@@ -163,7 +183,7 @@ def fresh_schema():
 @pytest.mark.parametrize(
     "edit,refused",
     [
-        (lambda s: s["$defs"]["relation"].update(additionalProperties=False), "additionalProperties"),
+        (lambda s: s["$defs"]["relation"].update(additionalProperties={"type": "string"}), "additionalProperties"),
         (lambda s: s["allOf"][3]["then"]["properties"]["scales"].update(maxItems=8), "maxItems"),
         (lambda s: s["allOf"][0]["if"].update(type="number"), "'number'"),
     ],
