@@ -325,12 +325,16 @@ def _run_dense(scenario: dict) -> tuple[int, dict, list]:
     certificates.extend(mono)
     refine_failure = None
     base: list = []
+    # CoverError is a ValueError: a failing certificate is a finding, while
+    # any other ValueError, such as a scale past the chop cap, is an input problem.
     try:
         refined = refined_base(tower.prefix(refine_depth), scales, probe_sets)
         certificates.append(refined)
         base = refined["base"]
     except CoverError as exc:
         refine_failure = str(exc)
+    except ValueError as exc:
+        raise InputProblem(str(exc)) from exc
     not_ent = cert_not_entourage(cover, probe_scales)
     certificates.append(not_ent)
     all_pass = (

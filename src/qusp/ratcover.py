@@ -46,6 +46,7 @@ from .serialize import _exact, _positive, frac_str
 DEFAULT_TRUNCATION_DEPTH = 64
 DEFAULT_GRID = 1 << 10
 MAX_PROBE_WITNESSES = 12
+MAX_CHOP_PIECES = 100_000
 
 
 class CoverError(ValueError):
@@ -330,7 +331,7 @@ def star_cover(c: OmegaCover) -> OmegaCover:
     return OmegaCover(c.oracle, tuple(new_sets), tuple(new_scales))
 
 
-def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_size: int) -> dict:
+def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, fine_tags: list, coarse_tags: list) -> dict:
     """Exact and sampled checks that fine's squared relation sits in coarse's.
 
     On the stratum of points first appearing in fine set k, the squared
@@ -341,12 +342,12 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
     that overlap, linear in the number of stratum intervals.  Stratum pairs
     whose indices would run past a truncation depth are counted as skipped,
     not assumed.  Each pair is decided once, by ``holds``, which both parts
-    read.  The grid check's independent part is locating the points: it
-    finds each grid point in each cover's stratum index (`tags_of_sorted`,
-    one sweep over the ascending grid) and reads the verdict of that pair,
-    one the sweep has met, since the point lies in both strata.  Both parts
-    rely on each cover's strata being disjoint, which holds for the nested
-    sets validation checks.
+    read.  The grid check's independent part is locating the points, which
+    the caller does: ``fine_tags`` and ``coarse_tags`` name the stratum of
+    each cover holding each point of one ascending grid (`tags_of_sorted`),
+    and the check reads the verdict of that pair, one the sweep has met,
+    since the point lies in both strata.  Both parts rely on each cover's
+    strata being disjoint, which holds for the nested sets validation checks.
     """
 
     @cache
@@ -357,9 +358,7 @@ def _double_successor_containments(fine: OmegaCover, coarse: OmegaCover, grid_si
 
     exact = [(k, n, holds(k, n)) for k, n in overlapping_tags(fine.stratum_index, coarse.stratum_index)]
     failures = [{"fine_stratum": k, "coarse_stratum": n} for k, n, ok in exact if ok is False]
-    grid = rational_grid(grid_size)
-    located = zip(tags_of_sorted(fine.stratum_index, grid), tags_of_sorted(coarse.stratum_index, grid))
-    sampled = [holds(k, n) for k, n in located if k is not None and n is not None]
+    sampled = [holds(k, n) for k, n in zip(fine_tags, coarse_tags) if k is not None and n is not None]
     return {
         "exact_stratum_checks": sum(ok is not None for _, _, ok in exact),
         "exact_failures": failures,
@@ -376,15 +375,20 @@ def cover_normal_sequence(c: OmegaCover, depth: int, grid_size: int = DEFAULT_GR
     Produces covers 0..depth where cover 0 is the input; for each
     consecutive pair the squared successor relation of the finer cover is
     certified inside the coarser one, exactly on strata and on a rational
-    grid.
+    grid.  The grid is built once and located once in each cover, which
+    serves both of its pairs; depth 0 has no pair and does neither.
     """
     if depth < 0:
         raise CoverError("star iteration depth must be nonnegative")
     covers = [c]
     for _ in range(depth):
         covers.append(star_cover(covers[-1]))
+    tags = []
+    if depth:
+        grid = rational_grid(grid_size)
+        tags = [tags_of_sorted(cov.stratum_index, grid) for cov in covers]
     pairs = [
-        {"finer": j + 1, "coarser": j, **_double_successor_containments(covers[j + 1], covers[j], grid_size)}
+        {"finer": j + 1, "coarser": j, **_double_successor_containments(covers[j + 1], covers[j], tags[j + 1], tags[j])}
         for j in range(depth)
     ]
     return StarTower(tuple(covers), _normal_sequence_certificate(grid_size, pairs))
@@ -395,10 +399,12 @@ def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
 
     Sound because every materialized set keeps a positive infimum, so any
     set with infimum zero escapes all of them; covers whose sets dip to the
-    ground's infimum are not detectable and must fail loudly instead.  Sets
-    are clamped to (0, 1), so a lower end at 0 is always open.
+    ground's infimum are not detectable and must fail loudly instead.  The
+    sets are nested, which construction checks, so the deepest set's
+    infimum is the least and is the only one read.  Sets are clamped to
+    (0, 1), so a lower end at 0 is always open.
     """
-    return a.intervals[0].lo == 0 and all(s.intervals[0].lo > 0 for s in c.sets)
+    return a.intervals[0].lo == 0 and c.sets[-1].intervals[0].lo > 0
 
 
 def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | None]:
@@ -427,53 +433,37 @@ def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | Non
 def cert_monotonecover(c: OmegaCover, a: RationalIntervalSet) -> dict:
     """Witness that the cover's successor relation is hyperspace-admissible at a.
 
-    Bounded branch: with G1 the smallest set meeting a and G2 the smallest
-    containing it, the scale(G2, 0) entourage maps a into the successor of
-    G2 and maps a point of a meeting G1 into the successor of G1, which
-    sits inside every successor the relation assigns on a.  Cofinal branch:
-    the relation's image of a is the whole ground, witnessed per
-    materialized index.  Both checks are exact.
+    With G1 the smallest set meeting a and G2 the smallest containing it,
+    one scale serves both branches: scale(G2, 0), or scale(G1, 0) when no
+    set contains a.  Its entourage maps a point of a meeting G1 into the
+    successor of G1, inside every successor the relation assigns on a.
+    Bounded: it also maps a into the successor of G2.  Cofinal: the
+    relation's image of a is the ground, witnessed per materialized index,
+    so the image check holds trivially.  Both checks are exact.
     """
     n1, n2 = probe_indices(c, a)
-    depth = c.truncation_depth
-    meet = a & c.sets[n1]
-    y = meet.pick_point()
-    y_ok = c.oracle.image(c.scale(n1 if n2 is None else n2, 0), point(y)) <= c.sets[n1 + 1]
-    cert: dict = {
+    scale = c.scale(n1 if n2 is None else n2, 0)
+    y = (a & c.sets[n1]).pick_point()
+    y_ok = c.oracle.image(scale, point(y)) <= c.sets[n1 + 1]
+    image_ok = n2 is None or c.oracle.image(scale, a) <= c.sets[n2 + 1]
+    if n2 is None:
+        branch = {
+            "branch": "cofinal",
+            "relation_image": "ground",
+            "escape_witnesses": [frac_str((a - s).pick_point()) for s in c.sets],
+        }
+    else:
+        branch = {"branch": "bounded", "smallest_containing": n2, "relation_image": "successor_of_smallest_containing"}
+    return {
         "kind": "monotone_cover_membership",
         "smallest_meeting": n1,
         "witness_point": frac_str(y),
         "witness_point_check": y_ok,
+        "entourage_scale": frac_str(scale),
+        "image_check": image_ok,
+        **branch,
+        "passed": image_ok and y_ok,
     }
-    if n2 is not None:
-        scale = c.scale(n2, 0)
-        img_ok = c.oracle.image(scale, a) <= c.sets[n2 + 1]
-        cert.update(
-            {
-                "branch": "bounded",
-                "smallest_containing": n2,
-                "entourage_scale": frac_str(scale),
-                "image_check": img_ok,
-                "relation_image": "successor_of_smallest_containing",
-                "passed": img_ok and y_ok,
-            }
-        )
-        return cert
-    escapes = []
-    for n in range(depth + 1):
-        out = a - c.sets[n]
-        escapes.append(frac_str(out.pick_point()))
-    cert.update(
-        {
-            "branch": "cofinal",
-            "entourage_scale": frac_str(c.scale(n1, 0)),
-            "relation_image": "ground",
-            "escape_witnesses": escapes,
-            "image_check": True,
-            "passed": y_ok,
-        }
-    )
-    return cert
 
 
 def _stratum_successor_checks(c: OmegaCover, s: Fraction, a: RationalIntervalSet, last: int) -> list[dict]:
@@ -489,12 +479,14 @@ def _stratum_successor_checks(c: OmegaCover, s: Fraction, a: RationalIntervalSet
 def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) -> dict:
     """Hypothesis witnesses and hyperspace admissibility for the intersected relation.
 
-    For U at half the requested scale, searches a cover index G such that
-    every point of a outside G sees a member of a inside G within U, and is
-    seen within U from a member of a beyond the deepest materialized set.
-    Both quantifiers over the (infinite) probe set reduce to exact interval
-    containments; per-point witnesses for up to `MAX_PROBE_WITNESSES`
-    components of a outside G are extracted for audit.
+    For U at half the requested scale, takes one cover index G: the smallest
+    set containing a, or else the first G such that every point of a
+    outside G sees a member of a inside G within U, and is seen within U
+    from a member of a beyond the deepest materialized set.  Both
+    quantifiers over the (infinite) probe set reduce to exact interval
+    containments.  Both branches check a's strata up to G; the unbounded
+    one adds per-point witnesses for up to `MAX_PROBE_WITNESSES` components
+    of a outside G, for audit, and its pool and escape checks.
     When no index works the report says so instead of raising.
     """
     if a.is_empty:
@@ -502,72 +494,62 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
     v = _positive(v_scale, "entourage scale")
     delta = v / 2
     depth = c.truncation_depth
-    n_cont = c.min_index_containing(a)
-    if n_cont is not None:
-        if n_cont + 1 > depth:
+    index = c.min_index_containing(a)
+    contained = index is not None
+    if contained:
+        if index + 1 > depth:
             raise CoverError("subset exceeds truncation depth without being cofinal-detectable")
-        s = min(c.scale(n_cont, 0), delta)
-        checks = _stratum_successor_checks(c, s, a, n_cont)
-        return {
-            "kind": "monotone_haus_membership",
-            "branch": "contained",
-            "containing_index": n_cont,
-            "scale": frac_str(v),
-            "inner_scale": frac_str(s),
-            "stratum_checks": checks,
-            "passed": all(ch["holds"] for ch in checks),
-        }
+    else:
+        deep_pool = a - c.sets[depth]
 
-    deep_pool = a - c.sets[depth]
+        def hypothesis(s: RationalIntervalSet) -> bool:
+            inside, outside = a & s, a - s
+            near = not inside.is_empty and outside <= c.oracle.inv_image(delta, inside)
+            return near and outside <= c.oracle.image(delta, deep_pool)
 
-    def hypothesis(s: RationalIntervalSet) -> bool:
-        inside, outside = a & s, a - s
-        near = not inside.is_empty and outside <= c.oracle.inv_image(delta, inside)
-        return near and outside <= c.oracle.image(delta, deep_pool)
+        index = c._first_index(hypothesis)
+        if index is None or index == depth:
+            return {
+                "kind": "monotone_haus_membership",
+                "branch": "unbounded",
+                "scale": frac_str(v),
+                "passed": False,
+                "reason": "hypothesis fails for this A",
+            }
 
-    found = c._first_index(hypothesis)
-    if found is None or found == depth:
-        return {
-            "kind": "monotone_haus_membership",
-            "branch": "unbounded",
-            "scale": frac_str(v),
-            "passed": False,
-            "reason": "hypothesis fails for this A",
-        }
+    s = min(c.scale(index, 0), delta)
+    checks = _stratum_successor_checks(c, s, a, index)
+    cert = {
+        "kind": "monotone_haus_membership",
+        "branch": "contained" if contained else "unbounded",
+        "scale": frac_str(v),
+        "inner_scale": frac_str(s),
+        "stratum_checks": checks,
+        "passed": all(ch["holds"] for ch in checks),
+    }
+    if contained:
+        cert["containing_index"] = index
+        return cert
 
-    inside = a & c.sets[found]
-    outside = a - c.sets[found]
+    inside, outside = a & c.sets[index], a - c.sets[index]
     probes = []
     for comp in outside.intervals[:MAX_PROBE_WITNESSES]:
         x = RationalIntervalSet.of(comp).pick_point()
         near = (inside & c.oracle.image(delta, point(x))).pick_point()
         deep = (deep_pool & c.oracle.inv_image(delta, point(x))).pick_point()
-        probes.append(
-            {
-                "x": frac_str(x),
-                "inside_witness": frac_str(near),
-                "deep_witness": frac_str(deep),
-            }
-        )
-    s = min(c.scale(found, 0), delta)
-    inner_checks = _stratum_successor_checks(c, s, a, found)
-    pool_check = c.oracle.image(s, inside) <= c.sets[found + 1]
+        probes.append({"x": frac_str(x), "inside_witness": frac_str(near), "deep_witness": frac_str(deep)})
+    pool_check = c.oracle.image(s, inside) <= c.sets[index + 1]
     outside_check = c.oracle.image(s, outside) <= c.oracle.image(v, deep_pool)
-    ok = all(ch["holds"] for ch in inner_checks) and pool_check and outside_check
-    return {
-        "kind": "monotone_haus_membership",
-        "branch": "unbounded",
-        "scale": frac_str(v),
-        "inner_scale": frac_str(s),
-        "hypothesis_index": found,
-        "hypothesis_exact": True,
-        "probe_witnesses": probes,
-        "stratum_checks": inner_checks,
-        "inside_pool_check": pool_check,
-        "outside_escape_check": outside_check,
-        "beyond_truncation": "successor containments past the deepest set follow from cover nesting",
-        "passed": ok,
-    }
+    cert.update(
+        hypothesis_index=index,
+        hypothesis_exact=True,
+        probe_witnesses=probes,
+        inside_pool_check=pool_check,
+        outside_escape_check=outside_check,
+        beyond_truncation="successor containments past the deepest set follow from cover nesting",
+        passed=cert["passed"] and pool_check and outside_check,
+    )
+    return cert
 
 
 def _chop_small(comp: Interval, eps: Fraction) -> list[Interval]:
@@ -589,13 +571,28 @@ def _chop_small(comp: Interval, eps: Fraction) -> list[Interval]:
     return pieces
 
 
+def _chop_count(comp: Interval, eps: Fraction) -> int:
+    """How many pieces `_chop_small` cuts comp into, from its length alone.
+
+    One per whole eps step and one for any rest.  Steps that end exactly at
+    a closed upper end take one more piece, the halved last step, unless a
+    single step spans comp from an open lower end.
+    """
+    steps, rest = divmod(comp.hi - comp.lo, eps)
+    if rest or not steps:
+        return steps + 1
+    return steps if comp.hi_open or (steps == 1 and comp.lo_open) else steps + 1
+
+
 def cert_boundedhaus(c: OmegaCover, u_scale: Fraction) -> dict:
     """Finite small decomposition of some cover set's complement, exactly.
 
     Prefers the first index whose complement components are already small
     at the requested scale; otherwise chops the deepest complement into
     finitely many small pieces.  Every piece is re-verified small and the
-    pieces are re-verified to reunite to the complement.
+    pieces are re-verified to reunite to the complement.  The pieces are
+    counted before any is cut, and a scale that needs more than
+    `MAX_CHOP_PIECES` of them is refused with a `ValueError`.
     """
     eps = _positive(u_scale, "entourage scale")
 
@@ -606,6 +603,11 @@ def cert_boundedhaus(c: OmegaCover, u_scale: Fraction) -> dict:
     chopped = found is None
     chosen = c.truncation_depth if chopped else found
     comp = c.sets[chosen].complement()
+    if chopped and (count := sum(_chop_count(p, eps) for p in comp.intervals)) > MAX_CHOP_PIECES:
+        raise ValueError(
+            f"scale {frac_str(eps)} would chop the complement of cover set {chosen} into {count} pieces,"
+            f" more than the cap of {MAX_CHOP_PIECES}"
+        )
     pieces = [p for comp_iv in comp.intervals for p in _chop_small(comp_iv, eps)] if chopped else list(comp.intervals)
     union = RationalIntervalSet(tuple(pieces))
     all_small = all(c.oracle.is_small(RationalIntervalSet.of(p), eps) for p in pieces)

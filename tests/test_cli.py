@@ -486,3 +486,24 @@ class TestExitCodes:
         assert main(["run", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "$.q1.min.n" in err and f"maximum of {MAX_HYPER_GROUND}" in err
+
+    @pytest.mark.parametrize("key", ["bounded_scales", "scales"])
+    def test_chop_cap_is_input_error(self, tmp_path, capsys, key):
+        # The complement of set 8 is (0, 1/18]: 5 555 556 pieces at this scale,
+        # counted and refused before any is cut.
+        scenario = {"scenario": "dense_witness", "eps": "1/2", "depth": 8, "grid": 16, key: ["1/100000000"]}
+        assert main(["run", write_scenario(tmp_path, "tiny.json", scenario)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: scale 1/100000000 would chop the complement of cover set 8 into 5555556 pieces" in captured.err
+
+    def test_refine_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        def failing(tower, scales, probes):
+            raise CoverError("membership certificate failed for cover 0")
+
+        monkeypatch.setattr(qusp.cli, "refined_base", failing)
+        scenario = {"scenario": "dense_witness", "eps": "1/2", "depth": 8, "grid": 16}
+        assert main(["run", write_scenario(tmp_path, "refine.json", scenario)]) == EXIT_COUNTEREXAMPLE
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["refine_failure"] == "membership certificate failed for cover 0"
+        assert report["results"]["refined_base"] == [] and report["results"]["all_pass"] is False

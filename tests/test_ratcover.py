@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qusp.ratcover as ratcover
 from qusp.intervals import (
     EMPTY,
     GROUND,
@@ -35,7 +36,7 @@ from qusp.ratcover import (
     refined_base,
     star_cover,
 )
-from qusp.ratcover import _double_successor_containments
+from qusp.ratcover import _chop_count, _chop_small, _cofinal_in_cover, _double_successor_containments
 from qusp.serialize import frac_str, parse_frac
 
 PROBE_POINTS = [F(i, 101) for i in range(1, 101)]
@@ -153,6 +154,13 @@ class TestCofinality:
         cover = OmegaCover(EUCLID, (iv(0, F(1, 4)), iv(0, F(1, 2)), iv(0, F(3, 4))), (F(1, 8),) * 3)
         with pytest.raises(CoverError, match="cofinal"):
             probe_indices(cover, iv(0, F(7, 8)))
+
+    def test_only_the_deepest_set_dipping_to_zero_cannot_tell(self):
+        # The nested sets make the deepest one's infimum the least, so it is the one read.
+        cover = OmegaCover(EUCLID, (iv(F(1, 4), F(1, 2)), iv(F(1, 8), F(3, 4)), iv(0, F(7, 8))), (F(1, 16),) * 3)
+        assert _cofinal_in_cover(cover, iv(0, F(15, 16))) is False
+        with pytest.raises(CoverError, match="cofinal"):
+            probe_indices(cover, iv(0, F(15, 16)))
 
 
 class TestChainCover:
@@ -278,6 +286,22 @@ class TestNormalSequence:
         with pytest.raises(CoverError, match="prefix"):
             tower.prefix(4)
 
+    @pytest.mark.parametrize("depth, grids, locations", [(0, 0, 0), (1, 1, 2), (3, 1, 4)])
+    def test_grid_built_once_and_located_once_per_cover(self, monkeypatch, depth, grids, locations):
+        # Each middle cover of the tower serves two pairs but is located once.
+        cover = flagship(depth=16)
+        calls = {"rational_grid": 0, "tags_of_sorted": 0}
+        for name in calls:
+
+            def counted(*args, name=name, real=getattr(ratcover, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ratcover, name, counted)
+        tower = cover_normal_sequence(cover, depth, grid_size=64)
+        assert calls == {"rational_grid": grids, "tags_of_sorted": locations}
+        assert tower.certificate["passed"] and len(tower.certificate["pairs"]) == depth
+
     def test_depth_three_certifies(self):
         cover = flagship(depth=16)
         rb = cover_normal_sequence(cover, 3, grid_size=256)
@@ -374,6 +398,13 @@ def linear_first(cover, holds):
     return next((n for n, s in enumerate(cover.sets) if holds(s)), None)
 
 
+def containments(fine, coarse, grid_size):
+    """`_double_successor_containments` with one grid located in each cover, as `cover_normal_sequence` does."""
+    grid = rational_grid(grid_size)
+    fine_tags, coarse_tags = (tags_of_sorted(c.stratum_index, grid) for c in (fine, coarse))
+    return _double_successor_containments(fine, coarse, fine_tags, coarse_tags)
+
+
 def reference_containments(fine, coarse, grid_size):
     """The all-pairs certificate, with linear scans for the grid points."""
     checked, skipped, failures = 0, 0, []
@@ -448,7 +479,7 @@ class TestStratumSweep:
         star = star_cover(cover)
         for fine, coarse in ((star, cover), (star_cover(star), star), (cover, star)):
             assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
-            assert _double_successor_containments(fine, coarse, 64) == reference_containments(fine, coarse, 64)
+            assert containments(fine, coarse, 64) == reference_containments(fine, coarse, 64)
 
     @given(nested_covers())
     @settings(max_examples=80, deadline=None)
@@ -456,7 +487,7 @@ class TestStratumSweep:
         star = star_cover(cover)
         for fine, coarse in ((star, cover), (cover, star)):
             assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
-            assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
+            assert containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
 
     @given(nested_covers(), nested_covers())
     @settings(max_examples=80, deadline=None)
@@ -464,7 +495,7 @@ class TestStratumSweep:
         # Unrelated covers usually fail the containments, which also checks
         # that failures come out in (k, n) order.
         assert overlapping_tags(fine.stratum_index, coarse.stratum_index) == frac_meeting(fine, coarse)
-        assert _double_successor_containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
+        assert containments(fine, coarse, 48) == reference_containments(fine, coarse, 48)
 
     def test_each_pair_decided_once(self, monkeypatch):
         # The grid revisits stratum pairs the sweep has decided; it reads
@@ -480,7 +511,7 @@ class TestStratumSweep:
             return subset(a, b)
 
         monkeypatch.setattr(RationalIntervalSet, "__le__", counted)
-        report = _double_successor_containments(fine, coarse, 64)
+        report = containments(fine, coarse, 64)
         assert report["grid_points"] > len(pairs)
         assert len(calls) == len(set(calls)) == report["exact_stratum_checks"] <= len(pairs)
 
@@ -733,7 +764,40 @@ class TestFloatsRejected:
             dense_scenario(0.5, depth=4)
 
 
+MONOTONE_COVER_KEYS = {
+    "kind",
+    "branch",
+    "smallest_meeting",
+    "witness_point",
+    "witness_point_check",
+    "entourage_scale",
+    "relation_image",
+    "image_check",
+    "passed",
+}
+MONOTONE_HAUS_KEYS = {"kind", "branch", "scale", "inner_scale", "stratum_checks", "passed"}
+UNBOUNDED_KEYS = {
+    "hypothesis_index",
+    "hypothesis_exact",
+    "probe_witnesses",
+    "inside_pool_check",
+    "outside_escape_check",
+    "beyond_truncation",
+}
+
+
 class TestMonotoneCoverCert:
+    @pytest.mark.parametrize(
+        "probe, branch, keys",
+        [
+            (iv(F(1, 4), F(1, 3)), "bounded", MONOTONE_COVER_KEYS | {"smallest_containing"}),
+            (iv(0, F(1, 2)), "cofinal", MONOTONE_COVER_KEYS | {"escape_witnesses"}),
+        ],
+    )
+    def test_branch_keys(self, probe, branch, keys):
+        cert = cert_monotonecover(flagship(), probe)
+        assert cert["branch"] == branch and set(cert) == keys
+
     def test_bounded_probe(self):
         cert = cert_monotonecover(flagship(), iv(F(1, 4), F(1, 3)))
         assert cert["passed"] and cert["branch"] == "bounded"
@@ -768,6 +832,19 @@ class TestMonotoneCoverCert:
 
 
 class TestMonotoneHausCert:
+    @pytest.mark.parametrize(
+        "scale, probe, branch, keys",
+        [
+            (F(1, 8), iv(F(1, 4), F(1, 3)), "contained", MONOTONE_HAUS_KEYS | {"containing_index"}),
+            (F(1, 8), iv(0, F(1, 2)), "unbounded", MONOTONE_HAUS_KEYS | UNBOUNDED_KEYS),
+            (F(1, 64), point(F(1, 1000)) | iv(F(1, 3), 1), "unbounded", {"kind", "branch", "scale", "passed", "reason"}),
+        ],
+        ids=["contained", "unbounded found", "unbounded failing"],
+    )
+    def test_branch_keys(self, scale, probe, branch, keys):
+        cert = cert_monotonehaus(flagship(), scale, probe)
+        assert cert["branch"] == branch and set(cert) == keys
+
     def test_contained_branch(self):
         cert = cert_monotonehaus(flagship(), F(1, 8), iv(F(1, 4), F(1, 3)))
         assert cert["passed"] and cert["branch"] == "contained"
@@ -814,6 +891,36 @@ class TestBoundedHausCert:
         assert union == cover.sets[cert["index"]].complement()
         for p in pieces:
             assert EUCLID.is_small(RationalIntervalSet.of(p), F(1, 256))
+
+    def test_chop_cap_counts_before_cutting(self, monkeypatch):
+        cover = flagship(depth=1)  # the complement of set 1 is (0, 1/4]
+        monkeypatch.setattr(ratcover, "MAX_CHOP_PIECES", 5)
+        assert cert_boundedhaus(cover, F(1, 16))["piece_count"] == 5
+
+        def never(comp, eps):
+            raise AssertionError("chopped before the pieces were counted")
+
+        monkeypatch.setattr(ratcover, "_chop_small", never)
+        with pytest.raises(ValueError, match="scale 1/20 would chop the complement of cover set 1 into 6 pieces") as info:
+            cert_boundedhaus(cover, F(1, 20))
+        assert info.type is ValueError and "cap of 5" in str(info.value)
+
+    @given(
+        st.integers(1, DEN - 1),
+        st.integers(0, DEN - 2),
+        st.booleans(),
+        st.booleans(),
+        st.fractions(min_value=F(1, 200), max_value=F(1, 2), max_denominator=200),
+    )
+    @example(24, 24, True, False, F(1, 16))  # steps end exactly at a closed upper end: one more piece
+    @example(24, 24, True, False, F(1, 4))  # one step from an open lower end
+    @example(24, 24, False, False, F(1, 4))  # one step between closed ends: split in two
+    @example(24, 0, False, False, F(1, 4))  # a single point
+    @settings(max_examples=300, deadline=None)
+    def test_chop_count_matches_the_chop(self, lo, width, lo_open, hi_open, eps):
+        hi = min(lo + width, DEN - 1)
+        comp = Interval(F(lo, DEN), F(hi, DEN), lo_open and hi > lo, hi_open and hi > lo)
+        assert _chop_count(comp, eps) == len(_chop_small(comp, eps))
 
     def test_lower_oracle_one_sided(self):
         sets = tuple(iv(F(1, n + 2), 1) for n in range(17))

@@ -1,27 +1,34 @@
 """Each invariant is refused in one place: every caller of that check, exercised together."""
 
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import qusp.ratcover
 from qusp.cli import InputProblem, _parse_scales
-from qusp.hyper import hyper_h, qh_equivalent, qh_local_criterion
-from qusp.intervals import GROUND, iv
-from qusp.metrize import FiniteQuasiPseudometric, entourage_at
+from qusp.hyper import HyperRelation, enumerate_preorders, hyper_h, qh_equivalent, qh_local_criterion
+from qusp.intervals import EMPTY, GROUND, iv
+from qusp.metrize import FiniteQuasiPseudometric, entourage_at, random_normal_sequence
 from qusp.quniform import FiniteQuasiUniformity, FiniteTopology, join_topologies
 from qusp.ratcover import (
     EUCLID,
     LOWER,
     CoverError,
     OmegaCover,
+    StarTower,
     cert_boundedhaus,
     cert_monotonehaus,
     cert_not_entourage,
     connectivity_certificate,
+    cover_normal_sequence,
+    cover_successor_of_point,
     dense_scenario,
+    probe_indices,
+    refined_base,
 )
-from qusp.relcore import NormalSequence, Relation, ground
+from qusp.relcore import GroundSet, NormalSequence, Relation, ground
 
 COVER = dense_scenario(F(1, 2), 8)[0]
 PROBE = iv(F(1, 4), F(1, 2))
@@ -96,3 +103,84 @@ def test_cross_ground_refusals(site):
         CROSS_GROUND[site]()
     raised_in = info.traceback[-1]
     assert (Path(raised_in.path).name, raised_in.name) in GROUND_CHECKS
+
+
+# One refusal each, by the check that makes it: call, exception type, message.
+REFUSALS = {
+    "GroundSet empty": (lambda: GroundSet(()), ValueError, "ground set must be nonempty"),
+    "GroundSet.index": (lambda: G2.index("z"), KeyError, "label 'z' not in ground set"),
+    "Relation row bits": (lambda: Relation(G2, (0b100, 0b01)), ValueError, "row bits outside ground set"),
+    "Relation.from_json n": (
+        lambda: Relation.from_json({"n": 3, "labels": ["a", "b"], "rows": ["10", "01"]}),
+        ValueError,
+        "n does not match label count",
+    ),
+    "NormalSequence empty": (lambda: NormalSequence(()), ValueError, "no levels"),
+    "HyperRelation rows": (lambda: HyperRelation(G2, (0,)), ValueError, "one row per subset mask"),
+    "enumerate_preorders": (lambda: enumerate_preorders(0), ValueError, "ground size must be positive"),
+    "FiniteQuasiPseudometric negative": (
+        lambda: FiniteQuasiPseudometric(G2, ((F(0), F(-1)), (F(1), F(0)))),
+        ValueError,
+        "distances must be nonnegative",
+    ),
+    "random_normal_sequence": (lambda: random_normal_sequence(0, 0, 1), ValueError, "positive ground size and depth"),
+    "OmegaCover ladder length": (
+        lambda: OmegaCover(EUCLID, COVER.sets[:3], COVER.base_scales[:2]),
+        CoverError,
+        "one ladder scale per materialized set required",
+    ),
+    "OmegaCover empty set": (
+        lambda: OmegaCover(EUCLID, (EMPTY, COVER.sets[1]), COVER.base_scales[:2]),
+        CoverError,
+        "cover set 0 is empty",
+    ),
+    "OmegaCover ground set": (
+        lambda: OmegaCover(EUCLID, (COVER.sets[0], GROUND), COVER.base_scales[:2]),
+        CoverError,
+        "cover set 1 equals the ground",
+    ),
+    # 1/17 lies in set 8, the deepest, and in no shallower set (set 7 is (1/16, 1)).
+    "cover_successor_of_point": (
+        lambda: cover_successor_of_point(COVER, F(1, 17)),
+        CoverError,
+        "successor of index 8 exceeds truncation depth 8",
+    ),
+    "cover_normal_sequence depth": (lambda: cover_normal_sequence(COVER, -1), CoverError, "must be nonnegative"),
+    "probe_indices containing": (
+        lambda: probe_indices(COVER, iv(F(1, 17), F(1, 2))),
+        CoverError,
+        "subset exceeds truncation depth without being cofinal-detectable",
+    ),
+    "probe_indices meeting": (
+        lambda: probe_indices(COVER, iv(0, F(1, 17))),
+        CoverError,
+        "smallest meeting index has no materialized successor",
+    ),
+    "cert_monotonehaus empty": (lambda: cert_monotonehaus(COVER, F(1, 4), EMPTY), ValueError, "must be nonempty"),
+    "refined_base no scales": (
+        lambda: refined_base(cover_normal_sequence(COVER, 0), [], []),
+        ValueError,
+        "need at least one background scale",
+    ),
+    "refined_base failed tower": (
+        lambda: refined_base(StarTower((COVER,), {"passed": False}), [F(1, 4)], []),
+        CoverError,
+        "normal sequence certificate failed",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REFUSALS)
+def test_refusals(site):
+    call, error, message = REFUSALS[site]
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert info.type is error
+
+
+def test_refined_base_refuses_a_failed_complement_cover(monkeypatch):
+    # A validated cover always has a small decomposition, so refined_base's
+    # own check is reached only through a certificate that says it failed.
+    monkeypatch.setattr(qusp.ratcover, "cert_boundedhaus", lambda cov, s: {"passed": False})
+    with pytest.raises(CoverError, match="complement small cover failed for cover 0 at scale 1/4"):
+        refined_base(cover_normal_sequence(COVER, 0, grid_size=16), [F(1, 4)], [])
