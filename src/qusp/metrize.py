@@ -9,13 +9,15 @@ Here the construction is carried out exactly: each pair gets the dyadic
 weight 2^-k of the deepest level containing it (1 off the ladder
 entirely, zero on the diagonal), and the distance is the chain infimum of
 weight sums, i.e. an all-pairs shortest path over nonnegative rational
-weights.  Every weight is 0, 2^-k or 1, so the shortest paths are computed
-on integer multiples of one common unit 1/D (D the lcm of the weight
-denominators) and returned as `Fraction` entries; a metric
-likewise keeps its entries as integers over their common denominator, on
-which the axioms and the sublevel thresholds are decided.  No floating
-point is involved anywhere (a float distance is rejected), so the
-sandwich containments above are decided exactly.
+weights.  Every weight is 0, 2^-k or 1, so the weights, the shortest paths
+and the metric's axioms all live on integer multiples of one unit 1/D, with
+D = 2^(depth-1); the `Fraction` entries are made once per distinct value at
+the end.  A metric built by hand keeps its entries as integers over the lcm
+of their denominators instead.  Either way the axioms are checked on the
+integers in one place, `_check_axioms`, and the sandwich thresholds are
+decided on them too.  No floating point is involved anywhere (a float
+distance is rejected), so the sandwich containments above are decided
+exactly.
 
 Truncation semantics: an off-diagonal pair lying in every materialized
 level only gets weight zero when the deepest level is transitive, because
@@ -33,8 +35,8 @@ squared inside the one above), and `kelley_metric` checks the quadruple
 condition on it.  Two ladders skip checks that hold by construction:
 
 - `random_normal_sequence` builds each level as the square of the one below
-  plus reflexive extras, so its levels are reflexive and normal without a
-  re-check;
+  plus reflexive extras, so its levels are reflexive, normal and inside the
+  ground without a re-check (each is a `Relation._trusted`);
 - `every_second_level` keeps levels of an already normal ladder, and for
   reflexive levels V_{2k+2}^2 sits in V_{2k+1}, which sits in V_{2k+1}^2 and
   so in V_{2k}; squaring once more gives V_{2k+2}^4 inside V_{2k+1}^2 inside
@@ -42,7 +44,7 @@ condition on it.  Two ladders skip checks that hold by construction:
   condition, which `kelley_metric` then skips too.
 
 The metric axioms are still checked on every `FiniteQuasiPseudometric`, and
-`weight_function` still checks whether the deepest level is transitive.
+`_weight_units` still checks whether the deepest level is transitive.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relcore import GroundSet, NormalSequence, Relation, compose, image, is_preorder
+from .relcore import GroundSet, NormalSequence, Relation, _check_same_ground, compose, image, is_preorder, iter_bits
 from .serialize import _exact, _positive
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -64,14 +66,32 @@ def _common_units(matrix) -> tuple[int, list[list[int]]]:
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
 
 
+def _check_axioms(n: int, units) -> None:
+    """Shape, zero diagonal, nonnegativity and the triangle inequality, decided on integer units."""
+    if len(units) != n or any(len(row) != n for row in units):
+        raise ValueError("distance matrix shape does not match ground")
+    for i, row in enumerate(units):
+        if row[i] != 0:
+            raise ValueError("self-distance must be zero")
+        if min(row) < 0:
+            raise ValueError("distances must be nonnegative")
+    for row_i in units:
+        for d_ij, row_j in zip(row_i, units):
+            for d_ik, d_jk in zip(row_i, row_j):
+                if d_ik > d_ij + d_jk:
+                    raise ValueError("triangle inequality violated")
+
+
 @dataclass(frozen=True)
 class FiniteQuasiPseudometric:
     """Nonnegative rational distance matrix; triangle inequality, no symmetry.
 
     Besides the `Fraction` entries the instance keeps them as integers over
-    their common denominator (``_units[i][j] / _scale == dist[i][j]``); the
-    axioms are checked on those integers.  Neither takes part in equality
-    or repr.
+    one common unit (``_units[i][j] / _scale == dist[i][j]``): the lcm of the
+    denominators for a metric built by hand, 2^(depth-1) for a Kelley
+    metric.  The axioms are checked on those integers by `_check_axioms`,
+    whichever way the metric is built.  Neither takes part in equality or
+    repr.
     """
 
     ground: GroundSet
@@ -80,24 +100,27 @@ class FiniteQuasiPseudometric:
     _units: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.ground.size
         dist = tuple(tuple(_exact(v, "distance") for v in row) for row in self.dist)
         object.__setattr__(self, "dist", dist)
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise ValueError("distance matrix shape does not match ground")
         scale, units = _common_units(dist)
-        for i, row in enumerate(units):
-            if row[i] != 0:
-                raise ValueError("self-distance must be zero")
-            if min(row) < 0:
-                raise ValueError("distances must be nonnegative")
-        for row_i in units:
-            for d_ij, row_j in zip(row_i, units):
-                for d_ik, d_jk in zip(row_i, row_j):
-                    if d_ik > d_ij + d_jk:
-                        raise ValueError("triangle inequality violated")
+        _check_axioms(self.ground.size, units)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_units", tuple(map(tuple, units)))
+
+    @classmethod
+    def _of_units(cls, g: GroundSet, scale: int, units: list[list[int]]) -> "FiniteQuasiPseudometric":
+        """The metric with entries ``units[i][j] / scale``, axioms checked on the units.
+
+        Builds one `Fraction` per distinct unit value, not one per entry.
+        """
+        _check_axioms(g.size, units)
+        as_fraction = {v: Fraction(v, scale) for v in {v for row in units for v in row}}
+        out = object.__new__(cls)
+        object.__setattr__(out, "ground", g)
+        object.__setattr__(out, "dist", tuple(tuple(map(as_fraction.__getitem__, row)) for row in units))
+        object.__setattr__(out, "_scale", scale)
+        object.__setattr__(out, "_units", tuple(map(tuple, units)))
+        return out
 
 
 def every_second_level(seq: NormalSequence) -> NormalSequence:
@@ -111,37 +134,43 @@ def every_second_level(seq: NormalSequence) -> NormalSequence:
     return NormalSequence._trusted(seq.levels[::2], quadruple=True)
 
 
-def weight_function(seq: NormalSequence) -> Matrix:
-    """The matrix of deepest-membership dyadic weights for a ladder.
+def _weight_units(seq: NormalSequence) -> tuple[int, list[list[int]]]:
+    """(D, w) with D = 2^(depth-1) and w[x][y] / D the weight of (x, y).
 
-    Entry (x, y) is 2^-k for the largest k with (x, y) in level k, 1 when
+    The weight is 2^-k for the largest k with (x, y) in level k, 1 when
     (x, y) misses level 0, and 0 on the diagonal.  A pair in every level
     drops to 0 only when the deepest level is transitive (see the module
-    docstring).
+    docstring).  Each row is read deepest level first, and every bit takes
+    the weight of the first level that has it.
     """
-    n = seq.ground.size
     last = seq.depth - 1
-    bottom = seq.levels[last]
-    zero, one = Fraction(0), Fraction(1)
-    by_level = [Fraction(1, 2**k) for k in range(seq.depth)]
-    if is_preorder(bottom):
-        by_level[last] = zero
-    deepest_first = [(lvl.rows, weight) for lvl, weight in zip(seq.levels, by_level)][::-1]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(zero)
-                continue
-            for level_rows, weight in deepest_first:
-                if level_rows[i] >> j & 1:
-                    break
-            else:
-                weight = one
-            row.append(weight)
-        rows.append(tuple(row))
-    return tuple(rows)
+    scale = 1 << last
+    by_level = [scale >> k for k in range(seq.depth)]
+    if is_preorder(seq.levels[last]):
+        by_level[last] = 0
+    deepest_first = list(zip(by_level, (lvl.rows for lvl in seq.levels)))[::-1]
+    units = []
+    for i in range(seq.ground.size):
+        row = [scale] * seq.ground.size
+        seen = 1 << i
+        for weight, level_rows in deepest_first:
+            fresh = level_rows[i] & ~seen
+            seen |= fresh
+            for j in iter_bits(fresh):
+                row[j] = weight
+        row[i] = 0
+        units.append(row)
+    return scale, units
+
+
+def weight_function(seq: NormalSequence) -> Matrix:
+    """The matrix of deepest-membership dyadic weights for a ladder, as `Fraction`s.
+
+    The `Fraction` view of `_weight_units`: entry (x, y) is 2^-k for the
+    largest k with (x, y) in level k, 1 off level 0, 0 on the diagonal.
+    """
+    scale, units = _weight_units(seq)
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in units)
 
 
 def kelley_metric(seq: NormalSequence) -> FiniteQuasiPseudometric:
@@ -151,39 +180,58 @@ def kelley_metric(seq: NormalSequence) -> FiniteQuasiPseudometric:
     `every_second_level` on a plain normal sequence first).  The condition
     is checked here, except on a ladder from `every_second_level`, which
     meets it by construction and records that it does.  The distance is
-    the exact all-pairs shortest path over `weight_function` weights, run on
-    integer multiples of 1/D for D the lcm of the weight denominators; the
-    triangle inequality holds by construction and the dyadic sandwich holds
-    for every representable level.
+    the exact all-pairs shortest path over the `_weight_units` weights, run
+    on integer multiples of 1/D for D = 2^(depth-1); the metric axioms are
+    then checked on those units, the triangle inequality holds by
+    construction and the dyadic sandwich holds for every representable
+    level.
     """
     if not seq._quadruple:
         for k in range(seq.depth - 1):
             sq = compose(seq.levels[k + 1], seq.levels[k + 1])
             if not compose(sq, sq) <= seq.levels[k]:
                 raise ValueError(f"quadruple condition violated between levels {k + 1} and {k}")
-    scale, dist = _common_units(weight_function(seq))
+    scale, dist = _weight_units(seq)
     for mid, row_mid in enumerate(dist):
         for row_i in dist:
             via = row_i[mid]
             row_i[:] = [c if (c := via + b) < a else a for a, b in zip(row_i, row_mid)]
-    as_fraction = {v: Fraction(v, scale) for row in dist for v in row}
-    return FiniteQuasiPseudometric(seq.ground, tuple(tuple(map(as_fraction.get, row)) for row in dist))
+    return FiniteQuasiPseudometric._of_units(seq.ground, scale, dist)
 
 
 def check_sandwich(metric: FiniteQuasiPseudometric, ladder: NormalSequence) -> dict:
     """Exact dyadic sandwich verdicts of a metric against its source ladder.
 
     For each index k the strict sublevel set {dist < 2^-k} must contain
-    level k+1 (when materialized) and sit inside level k.
+    level k+1 (when materialized) and sit inside level k.  Every sublevel
+    row comes from one sweep over the metric's units: with unit 1/D, an
+    entry u is below 2^-k exactly when u <= (D - 1) >> k, so u lies in the
+    sublevels k < min(depth, bit length of (D - 1) // u), and in all of
+    them when u = 0.  `entourage_at` is the one-threshold reference.  A
+    metric and a ladder on different grounds are refused.
     """
+    _check_same_ground(metric, ladder)
+    depth = ladder.depth
+    top = metric._scale - 1
+    distinct = {u for row in metric._units for u in row}
+    sublevels_of = {u: depth if u == 0 else min(depth, (top // u).bit_length()) for u in distinct}
+    sub_rows = [[] for _ in range(depth)]
+    for row in metric._units:
+        # by_count[m]: the bits of this row whose entry lies in exactly the first m sublevels.
+        by_count = [0] * (depth + 1)
+        for j, u in enumerate(row):
+            by_count[sublevels_of[u]] |= 1 << j
+        acc = 0
+        for k in range(depth - 1, -1, -1):
+            acc |= by_count[k + 1]
+            sub_rows[k].append(acc)
     results = []
     ok = True
-    for k in range(ladder.depth):
-        sub = entourage_at(metric, Fraction(1, 2**k))
-        right = sub <= ladder.levels[k]
+    for k, sub in enumerate(sub_rows):
+        right = all(a & ~b == 0 for a, b in zip(sub, ladder.levels[k].rows))
         left = None
-        if k + 1 < ladder.depth:
-            left = ladder.levels[k + 1] <= sub
+        if k + 1 < depth:
+            left = all(a & ~b == 0 for a, b in zip(ladder.levels[k + 1].rows, sub))
         results.append({"level": k, "lower_ok": left, "upper_ok": right})
         ok = ok and right and (left is not False)
     return {"passed": ok, "levels": results}
@@ -209,27 +257,31 @@ def random_normal_sequence(seed: int, n: int, depth: int) -> NormalSequence:
 
     Each level contains the square of the one below and the diagonal, so
     the ladder is normal by construction and is not re-checked.  A level is
-    built as one `Relation`: row x is the image of row x of the level below
-    under that level, joined with the row of extras drawn for it.
+    built as one trusted `Relation`: row x is the image of row x of the
+    level below under that level, joined with the row of extras drawn for
+    it, so every row stays inside the ground.
     """
     if n < 1 or depth < 1:
         raise ValueError("need a positive ground size and depth")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    # Row i's off-diagonal bits in the order the draws are made for them.
+    off_diagonal = [(1 << i, [1 << j for j in range(n) if j != i]) for i in range(n)]
 
     def sprinkle(prob: float) -> list[int]:
         rows = []
-        for i in range(n):
-            row = 1 << i
-            for j in range(n):
-                if j != i and rng.random() < prob:
-                    row |= 1 << j
+        for row, bits in off_diagonal:
+            for bit in bits:
+                if draw() < prob:
+                    row |= bit
             rows.append(row)
         return rows
 
-    current = Relation(g, tuple(sprinkle(0.2)))
+    current = Relation._trusted(g, tuple(sprinkle(0.2)))
     levels = [current]
     for _ in range(depth - 1):
-        current = Relation(g, tuple(image(current, row) | extra for row, extra in zip(current.rows, sprinkle(0.08))))
+        current = Relation._trusted(
+            g, tuple(image(current, row) | extra for row, extra in zip(current.rows, sprinkle(0.08)))
+        )
         levels.append(current)
     return NormalSequence._trusted(tuple(reversed(levels)))

@@ -407,12 +407,24 @@ def _cofinal_in_cover(c: OmegaCover, a: RationalIntervalSet) -> bool:
     return a.intervals[0].lo == 0 and c.sets[-1].intervals[0].lo > 0
 
 
+def _contained_too_deep(c: OmegaCover, index: int) -> CoverError:
+    """The refusal for a subset whose smallest containing set has no materialized successor."""
+    return CoverError(
+        f"subset is contained only in the deepest materialized set {index}, whose successor lies beyond "
+        f"truncation depth {c.truncation_depth}; truncation depth {index + 1} would decide it"
+    )
+
+
 def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | None]:
     """Smallest meeting and smallest containing index of a probe subset.
 
     The containing index is None for a probe that escapes every cover set
     (detected by `_cofinal_in_cover`).  Raises `CoverError` when deciding
-    the probe would need a cover set beyond the truncation depth.
+    the probe would need a cover set beyond the truncation depth, with one
+    text per cause: a subset contained only in the deepest set (the text
+    names the depth that would decide it), a subset contained in no set
+    that cannot be told cofinal, and a smallest meeting set with no
+    successor.
     """
     if a.is_empty:
         raise ValueError("probe subset must be nonempty")
@@ -422,7 +434,7 @@ def probe_indices(c: OmegaCover, a: RationalIntervalSet) -> tuple[int, int | Non
     n2 = c.min_index_containing(a)
     depth = c.truncation_depth
     if n2 is not None and n2 + 1 > depth:
-        raise CoverError("subset exceeds truncation depth without being cofinal-detectable")
+        raise _contained_too_deep(c, n2)
     if n2 is None and not _cofinal_in_cover(c, a):
         raise CoverError("subset exceeds truncation depth without being cofinal-detectable")
     if n1 + 1 > depth:
@@ -498,7 +510,7 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
     contained = index is not None
     if contained:
         if index + 1 > depth:
-            raise CoverError("subset exceeds truncation depth without being cofinal-detectable")
+            raise _contained_too_deep(c, index)
     else:
         deep_pool = a - c.sets[depth]
 

@@ -84,6 +84,19 @@ class Relation:
                 raise ValueError("row bits outside ground set")
 
     @classmethod
+    def _trusted(cls, g: GroundSet, rows: tuple[int, ...]) -> "Relation":
+        """Wrap a tuple of rows made from validated rows, skipping validation.
+
+        For `compose`, `|`, `&` and the ladder levels, whose rows are unions
+        or intersections of rows already inside the ground; every other way
+        of building a relation is checked in full.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "ground", g)
+        object.__setattr__(out, "rows", rows)
+        return out
+
+    @classmethod
     def identity(cls, g: GroundSet) -> "Relation":
         return cls(g, tuple(1 << i for i in range(g.size)))
 
@@ -113,11 +126,11 @@ class Relation:
 
     def __and__(self, other: "Relation") -> "Relation":
         _check_same_ground(self, other)
-        return Relation(self.ground, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return Relation._trusted(self.ground, tuple(a & b for a, b in zip(self.rows, other.rows)))
 
     def __or__(self, other: "Relation") -> "Relation":
         _check_same_ground(self, other)
-        return Relation(self.ground, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return Relation._trusted(self.ground, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def __le__(self, other: "Relation") -> bool:
         _check_same_ground(self, other)
@@ -153,6 +166,7 @@ class Relation:
 
 
 def _check_same_ground(r: Relation, s: Relation) -> None:
+    """Refuse two objects on different grounds: relations, or a metric and a ladder."""
     if r.ground != s.ground:
         raise ValueError("relations live on different ground sets")
 
@@ -160,7 +174,7 @@ def _check_same_ground(r: Relation, s: Relation) -> None:
 def compose(r: Relation, s: Relation) -> Relation:
     """First r, then s: row x of the result is the image under s of row x of r."""
     _check_same_ground(r, s)
-    return Relation(r.ground, tuple(image(s, row) for row in r.rows))
+    return Relation._trusted(r.ground, tuple(image(s, row) for row in r.rows))
 
 
 def inverse(r: Relation) -> Relation:

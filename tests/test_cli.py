@@ -226,6 +226,17 @@ class TestGoldenDigests:
         assert text.count("\n") == 1
         assert canonical_report_bytes(json.loads(text)) == canonical_report_bytes(report)
 
+    def test_kelley_grid_digest(self):
+        # Every ground size and depth the schema allows, three seeds (one negative), five ladders each.
+        digest = hashlib.sha256()
+        for seed in (0, 7, -3):
+            for n in range(1, 9):
+                for depth in range(1, 13):
+                    scenario = {"scenario": "kelley_demo", "seed": seed, "n": n, "depth": depth, "count": 5}
+                    code, _, report = run_scenario(scenario)
+                    digest.update(b"%d:" % code + canonical_report_bytes(report) + b"\n")
+        assert digest.hexdigest() == "0c9375595cc440c6a47b1f44fa00b365138c661f1b43da81ad129d27c4357838"
+
 
 class TestExportTopology:
     def test_discrete_edgeless(self):

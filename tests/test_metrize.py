@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import qusp.metrize
 from qusp.metrize import (
     FiniteQuasiPseudometric,
+    _weight_units,
     check_sandwich,
     entourage_at,
     every_second_level,
@@ -201,9 +203,13 @@ class TestTrustedLadders:
             assert repr(sub) == repr(checked)
 
     def test_each_level_is_built_once(self, monkeypatch):
+        # Counted through either constructor: the validating one and `_trusted`.
         built = []
-        check = Relation.__post_init__
+        check, trusted = Relation.__post_init__, Relation._trusted.__func__
         monkeypatch.setattr(Relation, "__post_init__", lambda r: built.append(r) or check(r))
+        monkeypatch.setattr(
+            Relation, "_trusted", classmethod(lambda cls, g, rows: built.append(r := trusted(cls, g, rows)) or r)
+        )
         ladder = random_normal_sequence(3, 6, 12)
         assert len(built) == ladder.depth == 12
         assert set(built) == set(ladder.levels)
@@ -331,13 +337,23 @@ class TestIntegerFastPaths:
     @given(mixed_matrices())
     @settings(max_examples=400, deadline=None)
     def test_validation_accepts_what_the_fraction_checks_accept(self, drawn):
+        # Both constructors: from Fractions, and `_of_units` from integers over
+        # the lcm of the denominators and over twice that, a unit finer than needed.
         n, dist = drawn
         expected = reference_metric_error(n, dist)
-        if expected is None:
-            assert FiniteQuasiPseudometric(points(n), dist).dist == dist
-        else:
-            with pytest.raises(ValueError, match=expected):
-                FiniteQuasiPseudometric(points(n), dist)
+        lcm = math.lcm(*(v.denominator for row in dist for v in row))
+
+        def over(scale):
+            return FiniteQuasiPseudometric._of_units(points(n), scale, [[int(v * scale) for v in row] for row in dist])
+
+        for build in (lambda: FiniteQuasiPseudometric(points(n), dist), lambda: over(lcm), lambda: over(2 * lcm)):
+            if expected is None:
+                q = build()
+                assert q.dist == dist and all(type(v) is F for row in q.dist for v in row)
+                assert all(F(u, q._scale) == v for urow, row in zip(q._units, dist) for u, v in zip(urow, row))
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    build()
 
     @pytest.mark.parametrize("d_ac, accepted", [(F(3, 4), False), (F(2, 3), True), (F(2, 3) + F(1, 10**9), False)])
     def test_near_miss_separated_exactly(self, d_ac, accepted):
@@ -387,6 +403,95 @@ class TestIntegerFastPaths:
         assert a == b and hash(a) == hash(b)
         assert "_units" not in repr(a) and "_scale" not in repr(a)
         assert a.dist == b.dist
+
+
+# References for the one-pass Kelley pipeline: the weights as the Fraction
+# loop built them, and the sandwich decided one `entourage_at` per level.
+
+
+def reference_weight_function(seq):
+    n = seq.ground.size
+    last = seq.depth - 1
+    by_level = [F(1, 2**k) for k in range(seq.depth)]
+    if compose(seq.levels[last], seq.levels[last]) <= seq.levels[last] and seq.levels[last].is_reflexive():
+        by_level[last] = F(0)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            weight = F(0) if i == j else F(1)
+            if i != j:
+                for k in reversed(range(seq.depth)):
+                    if seq.levels[k].has(i, j):
+                        weight = by_level[k]
+                        break
+            row.append(weight)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_sandwich(metric, ladder):
+    levels = []
+    for k in range(ladder.depth):
+        sub = entourage_at(metric, F(1, 2**k))
+        left = ladder.levels[k + 1] <= sub if k + 1 < ladder.depth else None
+        levels.append({"level": k, "lower_ok": left, "upper_ok": sub <= ladder.levels[k]})
+    passed = all(lvl["upper_ok"] and lvl["lower_ok"] is not False for lvl in levels)
+    return {"passed": passed, "levels": levels}
+
+
+CHAIN3 = Relation.from_pairs(ground("a", "b", "c"), [("a", "b"), ("b", "c")], reflexive=True)
+HAND_LADDERS = (
+    NormalSequence((Relation.from_pairs(G2, [("a", "b")], reflexive=True),) * 3),  # transitive bottom: weight 0
+    two_point_ladder(),
+    NormalSequence((compose(CHAIN3, CHAIN3), CHAIN3)),  # intransitive bottom keeps its dyadic weight
+)
+
+
+class TestOnePassPipeline:
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), depth=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    @example(seed=0, n=1, depth=1)
+    @example(seed=0, n=8, depth=1)
+    def test_weight_units_match_the_fraction_weights(self, seed, n, depth):
+        ladder = random_normal_sequence(seed, n, depth)
+        for seq in (ladder, every_second_level(ladder)) + HAND_LADDERS:
+            scale, units = _weight_units(seq)
+            assert scale == 2 ** (seq.depth - 1)
+            expected = reference_weight_function(seq)
+            assert tuple(tuple(F(u, scale) for u in row) for row in units) == expected
+            assert weight_function(seq) == expected
+
+    @given(seed=st.integers(0, 10**6), other=st.integers(0, 10**6), n=st.integers(1, 8), depth=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_sandwich_matches_one_entourage_per_level(self, seed, other, n, depth):
+        # The metric of a subsampled ladder against that ladder (which passes), against
+        # the full ladder and against another seed's ladder on the same ground (which may fail).
+        ladder = random_normal_sequence(seed, n, depth)
+        sub = every_second_level(ladder)
+        metric = kelley_metric(sub)
+        assert FiniteQuasiPseudometric(metric.ground, metric.dist) == metric
+        assert check_sandwich(metric, sub)["passed"]
+        for against in (sub, ladder, every_second_level(random_normal_sequence(other, n, depth))):
+            assert check_sandwich(metric, against) == reference_sandwich(metric, against)
+
+    @given(mixed_matrices(n_max=5), st.integers(0, 10**6), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_sandwich_on_mixed_denominators(self, drawn, seed, depth):
+        n, dist = drawn
+        if reference_metric_error(n, dist) is not None:
+            return
+        metric = FiniteQuasiPseudometric(points(n), dist)
+        ladder = random_normal_sequence(seed, n, depth)
+        for against in (ladder, every_second_level(ladder), NormalSequence((Relation.full(points(n)),) * depth)):
+            assert check_sandwich(metric, against) == reference_sandwich(metric, against)
+
+    def test_kelley_metric_checks_the_axioms_on_its_units(self, monkeypatch):
+        checked = []
+        check = qusp.metrize._check_axioms
+        monkeypatch.setattr(qusp.metrize, "_check_axioms", lambda n, units: checked.append(units) or check(n, units))
+        metric = kelley_metric(every_second_level(random_normal_sequence(4, 6, 9)))
+        assert [tuple(map(tuple, units)) for units in checked] == [metric._units]
 
 
 class TestFloatsRejected:

@@ -10,7 +10,7 @@ import qusp.ratcover
 from qusp.cli import InputProblem, _parse_scales
 from qusp.hyper import HyperRelation, enumerate_preorders, hyper_h, qh_equivalent, qh_local_criterion
 from qusp.intervals import EMPTY, GROUND, iv
-from qusp.metrize import FiniteQuasiPseudometric, entourage_at, random_normal_sequence
+from qusp.metrize import FiniteQuasiPseudometric, check_sandwich, entourage_at, random_normal_sequence
 from qusp.quniform import FiniteQuasiUniformity, FiniteTopology, join_topologies
 from qusp.ratcover import (
     EUCLID,
@@ -91,6 +91,7 @@ CROSS_GROUND = {
     "FiniteTopology.is_coarser_than": lambda: T2.is_coarser_than(T3),
     "join_topologies": lambda: join_topologies(T2, T3),
     "NormalSequence": lambda: NormalSequence((Relation.full(G2), Relation.identity(G3))),
+    "check_sandwich": lambda: check_sandwich(METRIC, NormalSequence((Relation.full(G3),))),
 }
 
 # The only checks that compare grounds: one for relations, two for hyper relations.
@@ -146,8 +147,16 @@ REFUSALS = {
         "successor of index 8 exceeds truncation depth 8",
     ),
     "cover_normal_sequence depth": (lambda: cover_normal_sequence(COVER, -1), CoverError, "must be nonnegative"),
+    # iv(1/17, 1/2) lies in set 8, the deepest, so a tower of depth 9 decides it.
     "probe_indices containing": (
         lambda: probe_indices(COVER, iv(F(1, 17), F(1, 2))),
+        CoverError,
+        "contained only in the deepest materialized set 8, whose successor lies beyond truncation depth 8; "
+        "truncation depth 9 would decide it",
+    ),
+    # iv(1/100, 1/2) lies in no materialized set and keeps a positive infimum.
+    "probe_indices cofinal": (
+        lambda: probe_indices(COVER, iv(F(1, 100), F(1, 2))),
         CoverError,
         "subset exceeds truncation depth without being cofinal-detectable",
     ),
@@ -157,6 +166,12 @@ REFUSALS = {
         "smallest meeting index has no materialized successor",
     ),
     "cert_monotonehaus empty": (lambda: cert_monotonehaus(COVER, F(1, 4), EMPTY), ValueError, "must be nonempty"),
+    "cert_monotonehaus containing": (
+        lambda: cert_monotonehaus(COVER, F(1, 4), iv(F(1, 17), F(1, 2))),
+        CoverError,
+        "contained only in the deepest materialized set 8, whose successor lies beyond truncation depth 8; "
+        "truncation depth 9 would decide it",
+    ),
     "refined_base no scales": (
         lambda: refined_base(cover_normal_sequence(COVER, 0), [], []),
         ValueError,

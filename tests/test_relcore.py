@@ -111,6 +111,25 @@ class TestCompose:
         assert compose(r, r) == reference_compose(r, r)
 
 
+class TestTrustedRelations:
+    @given(relation_pairs_with_edge_rows())
+    @settings(max_examples=300)
+    def test_derived_relations_equal_the_validating_construction(self, pair):
+        # `compose`, `|` and `&` build through `Relation._trusted`; each result must
+        # equal, hash and print like the relation `Relation(...)` validates from the same rows.
+        r, s = pair
+        g = r.ground
+        expected = (
+            reference_compose(r, s),
+            Relation(g, [a | b for a, b in zip(r.rows, s.rows)]),
+            Relation(g, [a & b for a, b in zip(r.rows, s.rows)]),
+        )
+        for got, want in zip((compose(r, s), r | s, r & s), expected):
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert type(got.rows) is tuple
+            assert Relation(g, got.rows) == got
+
+
 class TestInverse:
     def test_diagonal(self):
         assert inverse(DELTA3) == DELTA3
