@@ -9,9 +9,14 @@ For a relation u on X, the power set P(X) carries three derived relations:
 P(X) here includes the empty set, so the hyperspace successor set of the
 empty set under the intersected relation is exactly {empty}.
 
-Subset masks index rows of 2^n bits.  The lower relation and the intersection
-take O(2^n) big-int operations, the upper one a submask indicator per distinct
-subset image; grounds above 16 points are rejected outright.
+Subset masks index rows of 2^n bits.  The subset images and the lower
+relation are built by doubling, one ground point at a time: the masks in
+[2^a, 2^(a+1)) are the masks below 2^a with point a added, so each point
+extends the table by one big-int operation per entry already built.  The
+lower relation and the intersection take O(2^n) big-int operations, the
+upper one a submask indicator per distinct subset image; grounds above 16
+points are rejected outright.  `qh_equivalent` returns at once when the two
+matrices are equal and scans for a counterexample only when they differ.
 """
 
 from __future__ import annotations
@@ -65,12 +70,14 @@ class HyperRelation:
 
 
 def _image_table(u: Relation) -> list[int]:
-    """image(u, mask) for every subset mask, by peeling the lowest bit."""
-    n = u.ground.size
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | u.rows[low.bit_length() - 1]
+    """image(u, mask) for every subset mask, by doubling one point at a time.
+
+    The masks in [2^a, 2^(a+1)) are the masks below 2^a with point a added,
+    so each point's row extends the table by one OR per existing entry.
+    """
+    table = [0]
+    for row in u.rows:
+        table += [row | img for img in table]
     return table
 
 
@@ -84,18 +91,19 @@ def _submask_indicator(mask: int, n: int) -> int:
 
 
 def hyper_minus(u: Relation) -> HyperRelation:
-    """(A, B) related when every point of A has a u-successor inside B."""
+    """(A, B) related when every point of A has a u-successor inside B.
+
+    Built by the same doubling as `_image_table`: the row of A + {a} is the
+    row of A intersected with the subsets meeting row(a).
+    """
     _guard(u.ground)
     n = u.ground.size
-    size = 1 << n
-    all_b = (1 << size) - 1
-    # per point a: subsets B meeting row(a), i.e. not submasks of its complement
-    meets = [all_b ^ _submask_indicator(u.ground.full_mask ^ u.rows[a], n) for a in range(n)]
-    rows = [0] * size
-    rows[0] = all_b
-    for mask in range(1, size):
-        low = mask & -mask
-        rows[mask] = rows[mask ^ low] & meets[low.bit_length() - 1]
+    all_b = (1 << (1 << n)) - 1
+    rows = [all_b]
+    for row in u.rows:
+        # subsets B meeting this point's row, i.e. not submasks of its complement
+        meets_a = all_b ^ _submask_indicator(u.ground.full_mask ^ row, n)
+        rows += [meets_a & r for r in rows]
     return HyperRelation(u.ground, tuple(rows))
 
 
@@ -180,12 +188,16 @@ def qh_equivalent(q1: FiniteQuasiUniformity, q2: FiniteQuasiUniformity) -> QHVer
     q1 is QH-finer than q2 when the hyperspace topology of q2 is coarser.
     Both hyperspace quasi-uniformities are principal and finite topologies
     reverse the order of their preorders, so ``finer_forward`` is
-    ``hyper_h(q1.min) <= hyper_h(q2.min)``.  The counterexample is the first
-    subset mask whose successor rows differ in the failing direction.
+    ``hyper_h(q1.min) <= hyper_h(q2.min)``.  Equal matrices are settled by
+    one comparison of their rows, equivalent with no counterexample;
+    otherwise the counterexample is the first subset mask whose successor
+    rows differ in the failing direction.
     """
     _check_same_ground(q1.min_entourage, q2.min_entourage)
     h1 = hyper_h(q1.min_entourage)
     h2 = hyper_h(q2.min_entourage)
+    if h1.rows == h2.rows:
+        return QHVerdict(True, True, None)
     forward = h1 <= h2
     backward = h2 <= h1
     counter: tuple[int, str] | None = None

@@ -163,16 +163,6 @@ def _weight_units(seq: NormalSequence) -> tuple[int, list[list[int]]]:
     return scale, units
 
 
-def weight_function(seq: NormalSequence) -> Matrix:
-    """The matrix of deepest-membership dyadic weights for a ladder, as `Fraction`s.
-
-    The `Fraction` view of `_weight_units`: entry (x, y) is 2^-k for the
-    largest k with (x, y) in level k, 1 off level 0, 0 on the diagonal.
-    """
-    scale, units = _weight_units(seq)
-    return tuple(tuple(Fraction(v, scale) for v in row) for row in units)
-
-
 def kelley_metric(seq: NormalSequence) -> FiniteQuasiPseudometric:
     """Chain-infimum quasi-pseudometric of a ladder with the quadruple condition.
 

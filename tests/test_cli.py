@@ -71,6 +71,15 @@ class TestRunScenario:
         code, _, report = run_scenario({"scenario": "finite_compare", "q1": q1, "q2": q2})
         assert code == EXIT_PASS and report["results"]["equivalent"]
 
+    def test_compare_permuted_three_point_preorder(self):
+        # a below the cluster {b, c}; q2 lists the same preorder over c, a, b,
+        # so both hyper_h matrices are equal once q2 is aligned to q1's labels.
+        q1 = {"min": rel_json(3, ["a", "b", "c"], ["111", "011", "011"])}
+        q2 = {"min": rel_json(3, ["c", "a", "b"], ["101", "111", "101"])}
+        code, _, report = run_scenario({"scenario": "finite_compare", "q1": q1, "q2": q2})
+        assert code == EXIT_PASS
+        assert report["results"]["counterexample"] is None
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(enumerate_preorders(3)), st.sampled_from(enumerate_preorders(3)), st.permutations(range(3)))
     def test_compare_label_order_does_not_matter(self, r1, r2, order):

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qusp.hyper import (
+    _image_table,
     enumerate_preorders,
     hausdorff_of,
     hyper_as_relation,
@@ -177,6 +178,13 @@ class TestHyperRelations:
                 assert (h1 <= h2) == reference_le(h1, h2)
                 assert (h1 & h2).rows == reference_and(h1, h2)
 
+    @given(pooled_relations())
+    @example((Relation(ground("a"), (1,)), Relation(ground("a"), (0,))))
+    @example((Relation(ground("a"), (0,)), Relation(ground("a"), (1,))))
+    def test_image_table_matches_image(self, pair):
+        for u in pair:
+            assert _image_table(u) == [image(u, m) for m in range(1 << u.ground.size)]
+
     def test_size_guard(self):
         g = GroundSet(tuple(f"x{i}" for i in range(17)))
         with pytest.raises(ValueError, match="capped"):
@@ -302,6 +310,24 @@ class TestQHComparison:
         else:
             expected = None
         assert verdict.counterexample == expected
+
+    @given(reflexive_pairs(closed=True), st.booleans())
+    def test_verdict_matches_hyper_containment(self, pair, equal):
+        # With `equal`, v is a separately built relation with u's rows, so the
+        # two hyper_h matrices are equal but not the same object.
+        u, v = pair
+        if equal:
+            v = Relation(u.ground, tuple(u.rows))
+        hu, hv = hyper_h(u), hyper_h(v)
+        forward, backward = reference_le(hu, hv), reference_le(hv, hu)
+        if not forward:
+            expected = (next(m for m in range(hu.size) if hu.rows[m] & ~hv.rows[m]), "forward")
+        elif not backward:
+            expected = (next(m for m in range(hv.size) if hv.rows[m] & ~hu.rows[m]), "backward")
+        else:
+            expected = None
+        verdict = qh_equivalent(FiniteQuasiUniformity(u), FiniteQuasiUniformity(v))
+        assert (verdict.finer_forward, verdict.finer_backward, verdict.counterexample) == (forward, backward, expected)
 
 
 class TestEnumerate:
