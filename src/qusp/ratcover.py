@@ -141,6 +141,10 @@ class OmegaCover:
 
     The strata and the stratum index are computed on first use and kept
     for the life of the cover; the sets never change after construction.
+    So is ``_stratum_images``, the memo of stratum-wide successor
+    containments that `_stratum_successor_checks` fills, one entry per
+    inner scale and stratum, on first use.  Like the strata it lives in the
+    instance ``__dict__``, so equality and repr do not see it.
     """
 
     oracle: MetricOracle
@@ -232,6 +236,11 @@ class OmegaCover:
         each point of an ascending sequence, in one pass.
         """
         return tagged_pieces(self.strata)
+
+    @cached_property
+    def _stratum_images(self) -> dict[Fraction, dict[int, bool]]:
+        """Scale s -> {n: whether the scale-s image of ``strata[n]`` lies in ``sets[n + 1]``}."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -479,12 +488,25 @@ def cert_monotonecover(c: OmegaCover, a: RationalIntervalSet) -> dict:
 
 
 def _stratum_successor_checks(c: OmegaCover, s: Fraction, a: RationalIntervalSet, last: int) -> list[dict]:
-    """Whether the scale-s image of a's part in stratum n stays in ``sets[n + 1]``, n <= last."""
+    """Whether the scale-s image of a's part in stratum n stays in ``sets[n + 1]``, n <= last.
+
+    The piece ``a & strata[n]`` lies inside ``strata[n]`` and every oracle's
+    image is monotone in its set, so when the whole stratum's image stays in
+    ``sets[n + 1]`` the piece's does too.  That stratum-wide verdict is
+    decided once per cover, scale and stratum (``c._stratum_images``); only
+    where it is false is the piece's own image checked.  The result is the
+    exact per-piece check for any s.
+    """
+    wholes = c._stratum_images.setdefault(s, {})
     checks = []
     for n in range(last + 1):
         piece = a & c.strata[n]
-        if not piece.is_empty:
-            checks.append({"stratum": n, "holds": c.oracle.image(s, piece) <= c.sets[n + 1]})
+        if piece.is_empty:
+            continue
+        whole = wholes.get(n)
+        if whole is None:
+            whole = wholes[n] = c.oracle.image(s, c.strata[n]) <= c.sets[n + 1]
+        checks.append({"stratum": n, "holds": whole or c.oracle.image(s, piece) <= c.sets[n + 1]})
     return checks
 
 
@@ -496,7 +518,8 @@ def cert_monotonehaus(c: OmegaCover, v_scale: Fraction, a: RationalIntervalSet) 
     outside G sees a member of a inside G within U, and is seen within U
     from a member of a beyond the deepest materialized set.  Both
     quantifiers over the (infinite) probe set reduce to exact interval
-    containments.  Both branches check a's strata up to G; the unbounded
+    containments.  Both branches check a's strata up to G, each stratum's
+    whole image decided once per cover and inner scale; the unbounded
     one adds per-point witnesses for up to `MAX_PROBE_WITNESSES` components
     of a outside G, for audit, and its pool and escape checks.
     When no index works the report says so instead of raising.

@@ -36,7 +36,13 @@ from qusp.ratcover import (
     refined_base,
     star_cover,
 )
-from qusp.ratcover import _chop_count, _chop_small, _cofinal_in_cover, _double_successor_containments
+from qusp.ratcover import (
+    _chop_count,
+    _chop_small,
+    _cofinal_in_cover,
+    _double_successor_containments,
+    _stratum_successor_checks,
+)
 from qusp.serialize import frac_str, parse_frac
 
 PROBE_POINTS = [F(i, 101) for i in range(1, 101)]
@@ -871,6 +877,103 @@ class TestMonotoneHausCert:
         cert = cert_monotonehaus(flagship(), F(1, 64), probe)
         assert cert["passed"] is False
         assert cert["reason"] == "hypothesis fails for this A"
+
+
+def reference_stratum_checks(c, s, a, last):
+    """`_stratum_successor_checks` without the memo: each piece's own image, checked directly."""
+    checks = []
+    for n in range(last + 1):
+        piece = a & c.strata[n]
+        if not piece.is_empty:
+            checks.append({"stratum": n, "holds": c.oracle.image(s, piece) <= c.sets[n + 1]})
+    return checks
+
+
+@st.composite
+def flagship_covers(draw):
+    """Flagship covers of depth 2 to 16, or their star covers."""
+    cover = flagship(depth=draw(st.integers(2, 16)))
+    return star_cover(cover) if draw(st.booleans()) else cover
+
+
+# At or below the flagship's ladder scales (1/4, 1/12, 1/24, ...) every
+# stratum-wide verdict holds; from 1/2 up none does on the flagship.
+MEMO_SCALES = [F(1, 96), F(1, 48), F(1, 24), F(1, 12), F(1, 4), F(1, 2), F(3, 4), F(1)]
+SEEDED_PROBES = random_interval_sets(23, 40)
+
+
+class TestStratumSuccessorMemo:
+    """`_stratum_successor_checks` and its per-cover memo against the per-piece loop."""
+
+    @given(
+        st.one_of(flagship_covers(), nested_covers()),
+        st.lists(st.sampled_from(MEMO_SCALES), min_size=1, max_size=3),
+        st.lists(st.one_of(st.sampled_from(SEEDED_PROBES), multi_interval_sets()), min_size=1, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(self, cover, scales, probes):
+        for s in scales:
+            for a in probes:
+                for last in range(cover.truncation_depth):
+                    assert _stratum_successor_checks(cover, s, a, last) == reference_stratum_checks(cover, s, a, last)
+
+    def test_piece_holds_where_stratum_fails(self):
+        # Stratum 0 is (1/2, 1); at 1/2, above base_scales[0] = 1/4, its
+        # image is (0, 1), not inside sets[1] = (1/4, 1), but the point 3/4's
+        # image (1/4, 1) is.
+        cover, a = flagship(), point(F(3, 4))
+        assert _stratum_successor_checks(cover, F(1, 2), a, 0) == [{"stratum": 0, "holds": True}]
+        assert cover._stratum_images == {F(1, 2): {0: False}}
+        assert reference_stratum_checks(cover, F(1, 2), a, 0) == [{"stratum": 0, "holds": True}]
+
+    def test_piece_and_stratum_both_fail(self):
+        # The point 11/20's image at 1/2 is (1/20, 1), which leaves sets[1].
+        cover, a = flagship(), point(F(11, 20)) | point(F(3, 4))
+        assert _stratum_successor_checks(cover, F(1, 2), a, 1) == [{"stratum": 0, "holds": False}]
+        assert cover._stratum_images == {F(1, 2): {0: False}}
+        assert reference_stratum_checks(cover, F(1, 2), a, 1) == [{"stratum": 0, "holds": False}]
+
+    def test_memo_reused_per_cover_and_scale(self, monkeypatch):
+        cover, twin = flagship(depth=16), flagship(depth=16)
+        assert twin == cover and twin is not cover
+        s = cover.base_scales[6]
+        # a meets strata 0 to 6 (stratum 6 is (1/14, 1/12]); b meets only some of them.
+        a, b = iv(F(1, 14), F(3, 4)), iv(F(1, 10), F(1, 3))
+        want_a, want_b = reference_stratum_checks(cover, s, a, 6), reference_stratum_checks(cover, s, b, 6)
+        assert [ch["stratum"] for ch in want_a] == list(range(7))
+        calls = []
+        image = MetricOracle.image
+
+        def counting(self, eps, x):
+            calls.append(x)
+            return image(self, eps, x)
+
+        monkeypatch.setattr(MetricOracle, "image", counting)
+        assert _stratum_successor_checks(cover, s, a, 6) == want_a
+        assert [x for x in calls if x in cover.strata] == list(cover.strata[:7])
+        assert cover._stratum_images == {s: dict.fromkeys(range(7), True)}
+        calls.clear()
+        assert _stratum_successor_checks(cover, s, b, 6) == want_b
+        assert calls == []
+        assert "_stratum_images" not in twin.__dict__
+        assert twin == cover and repr(twin) == repr(cover)
+        assert _stratum_successor_checks(twin, s, b, 6) == want_b
+        assert [x for x in calls if x in twin.strata] == [twin.strata[ch["stratum"]] for ch in want_b]
+
+    def test_certificates_match_reference_loop(self, monkeypatch):
+        def certs():
+            out = []
+            for cover in (flagship(), star_cover(flagship())):
+                contained = [a for a in SEEDED_PROBES if cover.min_index_containing(a) is not None]
+                for v in (F(1, 8), F(1, 2), F(1)):
+                    out += [cert_monotonehaus(cover, v, a) for a in contained]
+                out.append(cert_monotonehaus(cover, F(1, 8), iv(0, F(1, 2))))
+            return out
+
+        got = certs()
+        assert got[-1]["branch"] == "unbounded" and got[-1]["passed"]
+        monkeypatch.setattr(ratcover, "_stratum_successor_checks", reference_stratum_checks)
+        assert certs() == got
 
 
 class TestBoundedHausCert:
