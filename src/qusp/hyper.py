@@ -9,12 +9,15 @@ For a relation u on X, the power set P(X) carries three derived relations:
 P(X) here includes the empty set, so the hyperspace successor set of the
 empty set under the intersected relation is exactly {empty}.
 
-Subset masks index rows of 2^n bits.  The subset images and the lower
-relation are built by doubling, one ground point at a time: the masks in
-[2^a, 2^(a+1)) are the masks below 2^a with point a added, so each point
-extends the table by one big-int operation per entry already built.  The
-lower relation and the intersection take O(2^n) big-int operations, the
-upper one a submask indicator per distinct subset image; grounds above 16
+Subset masks index rows of 2^n bits.  The subset images are built by
+doubling, one ground point at a time: the masks in [2^a, 2^(a+1)) are the
+masks below 2^a with point a added, so each point extends the table by one
+OR per entry already built.  Subsets with equal rows share one row object:
+the upper relation builds one row per distinct subset image, the lower one
+per distinct closure (see `hyper_minus`), and the intersection one meet per
+distinct pair of row objects.  The row tuples keep 2^n entries, but the
+big-int work and memory follow the number of distinct rows: n + 1 of each
+kind for a chain, 2^n only for the discrete preorder.  Grounds above 16
 points are rejected outright.  `qh_equivalent` returns at once when the two
 matrices are equal and scans for a counterexample only when they differ.
 """
@@ -64,9 +67,31 @@ class HyperRelation:
         return all(map(int.__eq__, map(int.__and__, self.rows, other.rows), self.rows))
 
     def __and__(self, other: "HyperRelation") -> "HyperRelation":
+        """Row-wise intersection, one meet per distinct pair of row objects.
+
+        `hyper_minus` and `hyper_plus` share one row object among the
+        subsets with equal rows, so a few hundred distinct pairs can stand
+        for 2^n masks.  The meets are memoised on the identities of the two
+        row objects, grouped by the left one (a flat dict keyed on the pair
+        is slower); the same two objects have the same meet, so the result
+        is exact for any operands, and masks with the same pair of objects
+        share one result row.
+        """
         if self.base_ground != other.base_ground:
             raise ValueError("hyper relations live on different ground sets")
-        return HyperRelation(self.base_ground, tuple(map(int.__and__, self.rows, other.rows)))
+        memo: dict[int, dict[int, int]] = {}
+        rows = []
+        for a, b in zip(self.rows, other.rows):
+            by_b = memo.get(id(a))
+            if by_b is None:
+                meet = a & b
+                memo[id(a)] = {id(b): meet}
+            else:
+                meet = by_b.get(id(b))
+                if meet is None:
+                    meet = by_b[id(b)] = a & b
+            rows.append(meet)
+        return HyperRelation(self.base_ground, tuple(rows))
 
 
 def _image_table(u: Relation) -> list[int]:
@@ -81,37 +106,61 @@ def _image_table(u: Relation) -> list[int]:
     return table
 
 
-def _submask_indicator(mask: int, n: int) -> int:
-    """Bit vector over subset masks B with B contained in ``mask``."""
-    vec = 1
-    for i in range(n):
-        if mask >> i & 1:
-            vec |= vec << (1 << i)
-    return vec
+def _chained(masks, empty: int, step) -> dict[int, int]:
+    """A value for every mask in ``masks``, keyed by mask, each built once.
+
+    The value of a mask is ``step(value of the mask less its lowest point,
+    lowest point's bit)``, starting from ``empty`` at 0.  Missing masks are
+    filled down the chain ``c, c & (c - 1), ...`` until a known one, so the
+    table also holds those intermediate masks.
+    """
+    table = {0: empty}
+    for c in set(masks):
+        chain = []
+        while c not in table:
+            chain.append(c)
+            c &= c - 1
+        value = table[c]
+        for m in reversed(chain):
+            value = table[m] = step(value, m & -m)
+    return table
+
+
+def _submask_indicators(masks) -> dict[int, int]:
+    """For each mask, the bit vector over subset masks B contained in it."""
+    return _chained(masks, 1, lambda vec, bit: vec | vec << bit)
 
 
 def hyper_minus(u: Relation) -> HyperRelation:
     """(A, B) related when every point of A has a u-successor inside B.
 
-    Built by the same doubling as `_image_table`: the row of A + {a} is the
-    row of A intersected with the subsets meeting row(a).
+    The row of A is the intersection, over a in A, of the subsets meeting
+    u(a).  A point x with u(x) containing some u(a), a in A, leaves that
+    intersection unchanged, so the row depends only on the closure of A:
+    its image under a -> {x : u(x) contains u(a)} (the down-set of A when u
+    is a preorder).  This holds for any relation, empty rows included, and
+    distinct closures give distinct rows.  One row object is built per
+    distinct closure, as the meet of its lowest point's row with the row of
+    the closure less that point.
     """
     _guard(u.ground)
     n = u.ground.size
     all_b = (1 << (1 << n)) - 1
-    rows = [all_b]
-    for row in u.rows:
-        # subsets B meeting this point's row, i.e. not submasks of its complement
-        meets_a = all_b ^ _submask_indicator(u.ground.full_mask ^ row, n)
-        rows += [meets_a & r for r in rows]
-    return HyperRelation(u.ground, tuple(rows))
+    full = u.ground.full_mask
+    covers = tuple(sum(1 << x for x, rx in enumerate(u.rows) if ra & ~rx == 0) for ra in u.rows)
+    closures = _image_table(Relation._trusted(u.ground, covers))
+    # subsets B meeting a point's row, i.e. not submasks of its complement
+    outside = _submask_indicators(full ^ row for row in u.rows)
+    meets = {1 << a: all_b ^ outside[full ^ row] for a, row in enumerate(u.rows)}
+    row_of = _chained(closures, all_b, lambda r, bit: meets[bit] & r)
+    return HyperRelation(u.ground, tuple(map(row_of.__getitem__, closures)))
 
 
 def hyper_plus(u: Relation) -> HyperRelation:
     """(A, B) related when B is inside image(u, A); subsets with equal images share one row object."""
     _guard(u.ground)
     imgs = _image_table(u)
-    indicator = {img: _submask_indicator(img, u.ground.size) for img in set(imgs)}
+    indicator = _submask_indicators(imgs)
     return HyperRelation(u.ground, tuple(map(indicator.__getitem__, imgs)))
 
 

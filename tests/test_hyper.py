@@ -20,6 +20,7 @@ from qusp.relcore import GroundSet, Relation, compose, ground, image, inverse, i
 
 G2 = ground("a", "b")
 G3 = ground("a", "b", "c")
+G6 = GroundSet(tuple(f"x{i}" for i in range(6)))
 
 
 def reflexives(g):
@@ -72,6 +73,35 @@ def pooled_relations(draw, n_max=6):
     pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
     rows = st.tuples(*[st.sampled_from(pool)] * n)
     return Relation(g, draw(rows)), Relation(g, draw(rows))
+
+
+def definition_rows(u):
+    """hyper_minus and hyper_plus rows of u, expanded from the set definitions."""
+    size = 1 << u.ground.size
+    inv = inverse(u)
+    img = [image(u, a) for a in range(size)]
+    inv_img = [image(inv, b) for b in range(size)]
+    minus = tuple(sum(1 << b for b in range(size) if a & ~inv_img[b] == 0) for a in range(size))
+    plus = tuple(sum(1 << b for b in range(size) if b & ~img[a] == 0) for a in range(size))
+    return minus, plus
+
+
+@st.composite
+def partial_orders(draw, n_max=8):
+    """A partial order on up to n_max points: the closure of a DAG on shuffled points."""
+    n = draw(st.integers(1, n_max))
+    g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    place = draw(st.permutations(range(n)))
+    rows = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if place[i] < place[j] and draw(st.booleans()):
+                rows[i] |= 1 << j
+    return transitive_closure(Relation(g, tuple(rows)))
+
+
+def distinct_objects(rows):
+    return len({id(row) for row in rows})
 
 
 def reference_le(h1, h2):
@@ -162,12 +192,7 @@ class TestHyperRelations:
     @given(pooled_relations())
     def test_agreement_with_definitions_pooled(self, pair):
         u, v = pair
-        size = 1 << u.ground.size
-        inv = inverse(u)
-        img = [image(u, a) for a in range(size)]
-        inv_img = [image(inv, b) for b in range(size)]
-        minus = tuple(sum(1 << b for b in range(size) if a & ~inv_img[b] == 0) for a in range(size))
-        plus = tuple(sum(1 << b for b in range(size) if b & ~img[a] == 0) for a in range(size))
+        minus, plus = definition_rows(u)
         hm, hp, hh = hyper_minus(u), hyper_plus(u), hyper_h(u)
         assert hm.rows == minus
         assert hp.rows == plus
@@ -177,6 +202,19 @@ class TestHyperRelations:
             for h2 in hypers:
                 assert (h1 <= h2) == reference_le(h1, h2)
                 assert (h1 & h2).rows == reference_and(h1, h2)
+
+    @given(reflexive_pairs(closed=True))
+    @example((Relation.identity(G6), Relation.identity(G6)))
+    @example((Relation(G3, (0b011, 0, 0b110)), Relation.identity(G3)))
+    @example((Relation(G3, (0b011, 0b011, 0b111)), Relation.full(G3)))
+    def test_agreement_with_definitions_on_preorders(self, pair):
+        # Points with equal rows (an equivalence class of the preorder) give
+        # subsets with different members but one closure and one image.
+        for u in pair:
+            minus, plus = definition_rows(u)
+            assert hyper_minus(u).rows == minus
+            assert hyper_plus(u).rows == plus
+            assert hyper_h(u).rows == tuple(m & p for m, p in zip(minus, plus))
 
     @given(pooled_relations())
     @example((Relation(ground("a"), (1,)), Relation(ground("a"), (0,))))
@@ -189,6 +227,30 @@ class TestHyperRelations:
         g = GroundSet(tuple(f"x{i}" for i in range(17)))
         with pytest.raises(ValueError, match="capped"):
             hyper_h(Relation.identity(g))
+
+
+class TestRowSharing:
+    """Subsets with equal rows share one row object, and only those do."""
+
+    @given(partial_orders())
+    def test_one_object_per_distinct_row(self, u):
+        for h in (hyper_minus(u), hyper_plus(u)):
+            assert distinct_objects(h.rows) == len(set(h.rows))
+
+    @given(pooled_relations())
+    def test_one_meet_per_distinct_pair_of_objects(self, pair):
+        u, v = pair
+        hm, hp_u, hp_v = hyper_minus(u), hyper_plus(u), hyper_plus(v)
+        # hyper_h builds its own operands, which share rows exactly as hm and hp_u do
+        for left, right, meet in ((hm, hp_u, hyper_h(u)), (hm, hp_v, hm & hp_v), (hp_u, hp_v, hp_u & hp_v)):
+            pairs = {(id(a), id(b)) for a, b in zip(left.rows, right.rows)}
+            assert distinct_objects(meet.rows) <= len(pairs)
+
+    def test_chain_of_14_points(self):
+        n = 14
+        g = GroundSet(tuple(f"x{i}" for i in range(n)))
+        chain = Relation(g, tuple(g.full_mask ^ ((1 << i) - 1) for i in range(n)))
+        assert distinct_objects(hyper_h(chain).rows) <= (n + 1) * (n + 2) // 2
 
 
 class TestMonotonicityAndEmbedding:
